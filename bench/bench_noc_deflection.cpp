@@ -9,6 +9,7 @@
 
 #include "harness.h"
 #include "noc/network.h"
+#include "sim/domain.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 
@@ -81,8 +82,9 @@ bench::Measurement uniform_random(const bench::RunOptions& opt, int rate_pct) {
       "pattern=uniform_random inj_rate=" + std::to_string(rate) +
           " torus=4x4 flits_per_node=500",
       opt, [&] {
-        sim::Scheduler sched;
-        noc::Network net(sched, noc::TorusGeometry(4, 4));
+        sim::SimDomain dom(sim::SchedulerConfig{});
+        sim::Scheduler& sched = dom.shard(0);
+        noc::Network net(dom, noc::TorusGeometry(4, 4));
         std::vector<std::unique_ptr<TrafficNode>> nodes;
         for (int i = 0; i < net.num_nodes(); ++i) {
           nodes.push_back(std::make_unique<TrafficNode>(

@@ -20,6 +20,7 @@
 #include "noc/network.h"
 #include "noc/traffic.h"
 #include "noc/xy_network.h"
+#include "sim/domain.h"
 
 using namespace medea;
 
@@ -50,12 +51,12 @@ bench::Measurement deflection(const bench::RunOptions& opt,
       std::string("deflection/") + noc::to_string(pattern) + "/" +
           std::to_string(rate_pct) + "pct",
       case_config(cfg, rate_pct), opt, [&] {
-        sim::Scheduler sched;
-        noc::Network net(sched, noc::TorusGeometry(4, 4));
-        delivered = noc::run_traffic(sched, net, cfg);
+        sim::SimDomain dom(sim::SchedulerConfig{});
+        noc::Network net(dom, noc::TorusGeometry(4, 4));
+        delivered = noc::run_traffic(dom, net, cfg);
         lat = net.stats().acc("noc.latency").mean();
         defl = static_cast<double>(net.stats().get("noc.deflections_total"));
-        return sched.now();
+        return dom.now();
       });
   m.metric("mean_latency", lat);
   m.metric("deflections", defl);
@@ -73,13 +74,13 @@ bench::Measurement buffered_xy(const bench::RunOptions& opt,
       std::string("buffered-xy/") + noc::to_string(pattern) + "/" +
           std::to_string(rate_pct) + "pct",
       case_config(cfg, rate_pct), opt, [&] {
-        sim::Scheduler sched;
+        sim::SimDomain dom(sim::SchedulerConfig{});
         // Mesh geometry: dimension-ordered routing's deadlock-free home.
-        noc::XyNetwork net(sched, noc::TorusGeometry(4, 4));
-        delivered = noc::run_traffic(sched, net, cfg);
+        noc::XyNetwork net(dom, noc::TorusGeometry(4, 4));
+        delivered = noc::run_traffic(dom, net, cfg);
         lat = net.stats().acc("xynoc.latency").mean();
         peak = static_cast<double>(net.stats().get("xynoc.peak_buffered"));
-        return sched.now();
+        return dom.now();
       });
   m.metric("mean_latency", lat);
   m.metric("deflections", 0.0);

@@ -14,7 +14,7 @@
 
 #include "harness.h"
 #include "noc/network.h"
-#include "sim/scheduler.h"
+#include "sim/domain.h"
 #include "workload/replay.h"
 #include "workload/workload.h"
 
@@ -64,12 +64,11 @@ int main(int argc, char** argv) {
 
     auto replay = bench::run_case(
         std::string(sc.tag) + "/replay", cfg, report.options(), [&] {
-          sim::Scheduler sched;
+          sim::SimDomain dom(sim::SchedulerConfig{});
           noc::Network net(
-              sched,
-              noc::TorusGeometry(trace.meta.width, trace.meta.height),
+              dom, noc::TorusGeometry(trace.meta.width, trace.meta.height),
               sc.req.machine.router, trace.meta.seed);
-          return workload::run_replay(sched, net, trace).cycles;
+          return workload::run_replay(dom, net, trace).cycles;
         });
     const double speedup =
         full_speed > 0.0 ? replay.sim_speed / full_speed : 0.0;

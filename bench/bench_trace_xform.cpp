@@ -15,7 +15,7 @@
 
 #include "harness.h"
 #include "noc/network.h"
-#include "sim/scheduler.h"
+#include "sim/domain.h"
 #include "workload/replay.h"
 #include "workload/workload.h"
 #include "workload/xform/inspect.h"
@@ -81,15 +81,15 @@ int main(int argc, char** argv) {
                                  : scale == 0.5 ? "0.5"
                                                 : "2"),
         cfg, report.options(), [&] {
-          sim::Scheduler sched;
-          noc::Network net(sched, noc::TorusGeometry(4, 4),
-                           req.machine.router, t.meta.seed);
-          const auto r = workload::run_replay(sched, net, t, 50'000'000,
+          sim::SimDomain dom(sim::SchedulerConfig{});
+          noc::Network net(dom, noc::TorusGeometry(4, 4), req.machine.router,
+                           t.meta.seed);
+          const auto r = workload::run_replay(dom, net, t, 50'000'000,
                                               /*allow_config_mismatch=*/true);
-          wake_requests = sched.wake_requests();
-          wakes_deduped = sched.wakes_deduped();
-          bucket_pushes = sched.bucket_pushes();
-          overflow_pushes = sched.overflow_pushes();
+          wake_requests = dom.wake_requests();
+          wakes_deduped = dom.wakes_deduped();
+          bucket_pushes = dom.bucket_pushes();
+          overflow_pushes = dom.overflow_pushes();
           return r.cycles;
         });
     // Event-queue pressure on a hot fabric: how many wakes the push-time

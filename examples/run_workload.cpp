@@ -13,7 +13,9 @@
 /// engage the request section they belong to, so a knob that does not
 /// apply to the chosen workload — say --trace-scale on `uniform`, or
 /// --injection-rate on `jacobi` — is a hard validation error, not a
-/// silently ignored no-op.
+/// silently ignored no-op.  Values are typed: a non-numeric value,
+/// trailing garbage, an out-of-range number or an unknown enum spelling
+/// (--policy=wtt) exits 1 with an error naming the flag.
 ///
 /// Examples:
 ///   run_workload uniform --width=8 --height=8 --injection-rate=0.2
@@ -23,15 +25,23 @@
 ///   run_workload uniform --rate=0.65 --flit-trace=flits.json --worst-flits=5
 ///   run_workload bitrev --network=xy --record=xy.mdtr
 ///   run_workload jacobi --size=30 --record=jacobi.mdtr
+///   run_workload jacobi-sm --cores=8 --cache-kb=16 --arbiter=mux --verify
 ///   run_workload replay --trace=jacobi.mdtr --trace-scale=2.0
 ///
 /// Exit code 0 on success (and verification pass), 1 otherwise.
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "sim/telemetry.h"
@@ -90,14 +100,59 @@ struct Flag {
   std::function<void(Cli&, const char*)> set;
 };
 
+// ---------------------------------------------------------------------
+// Typed flag values: a malformed value is an error naming the flag
+// ---------------------------------------------------------------------
+
+/// Parse all of `v` as a T within [lo, hi].  Throws std::invalid_argument
+/// on an empty value, trailing garbage, or a value outside the range
+/// (NaN and infinities included); main() prefixes the flag's name.
+template <typename T>
+T parse_num(std::string_view v, T lo = std::numeric_limits<T>::lowest(),
+            T hi = std::numeric_limits<T>::max()) {
+  T x{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  const auto quoted = [&v] { return "'" + std::string(v) + "'"; };
+  if (ec == std::errc::invalid_argument || end != v.data() + v.size()) {
+    throw std::invalid_argument(quoted() + " is not a number");
+  }
+  if (ec == std::errc::result_out_of_range || !(x >= lo && x <= hi)) {
+    std::ostringstream range;
+    range << " is out of range [" << +lo << ", " << +hi << "]";
+    throw std::invalid_argument(quoted() + range.str());
+  }
+  return x;
+}
+
+/// The value `v` names among `choices`; anything else is an error that
+/// lists the accepted spellings.
+template <typename E>
+E parse_enum(const char* v,
+             std::initializer_list<std::pair<const char*, E>> choices) {
+  std::string names;
+  for (const auto& [name, e] : choices) {
+    if (std::strcmp(v, name) == 0) return e;
+    if (!names.empty()) names += '|';
+    names += name;
+  }
+  throw std::invalid_argument("unknown value '" + std::string(v) +
+                              "' (expected " + names + ")");
+}
+
+int parse_count(const char* v) { return parse_num<int>(v, 0); }
+int parse_positive(const char* v) { return parse_num<int>(v, 1); }
+/// Offered loads, probabilities and ratios.
+double parse_fraction(const char* v) { return parse_num<double>(v, 0.0, 1.0); }
+sim::Cycle parse_cycles(const char* v) { return parse_num<sim::Cycle>(v); }
+
 std::vector<double> parse_loads(const char* v) {
   std::vector<double> out;
-  std::string s(v);
+  const std::string_view s(v);
   std::size_t pos = 0;
-  while (pos < s.size()) {
+  while (pos <= s.size()) {
     std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::atof(s.substr(pos, comma - pos).c_str()));
+    if (comma == std::string_view::npos) comma = s.size();
+    out.push_back(parse_num<double>(s.substr(pos, comma - pos), 0.0, 1.0));
     pos = comma + 1;
   }
   return out;
@@ -107,28 +162,38 @@ const std::vector<Flag>& flag_table() {
   static const std::vector<Flag> flags = {
       // --- machine (core::MedeaConfig + run-wide knobs) ---
       {"machine", "--width", "", "W", "NoC torus width (default 4)",
-       [](Cli& c, const char* v) { c.req.machine.noc_width = std::atoi(v); }},
+       [](Cli& c, const char* v) {
+         c.req.machine.noc_width = parse_positive(v);
+       }},
       {"machine", "--height", "", "H", "NoC torus height (default 4)",
-       [](Cli& c, const char* v) { c.req.machine.noc_height = std::atoi(v); }},
+       [](Cli& c, const char* v) {
+         c.req.machine.noc_height = parse_positive(v);
+       }},
       {"machine", "--cores", "", "P", "compute cores (default 4)",
        [](Cli& c, const char* v) {
-         c.req.machine.num_compute_cores = std::atoi(v);
+         c.req.machine.num_compute_cores = parse_positive(v);
        }},
       {"machine", "--cache-kb", "", "K", "L1 size in kB, power of two",
        [](Cli& c, const char* v) {
          c.req.machine.l1.size_bytes =
-             static_cast<std::uint32_t>(std::atoi(v)) * 1024;
+             parse_num<std::uint32_t>(v, 1, (1u << 22) - 1) * 1024;
        }},
       {"machine", "--policy", "", "wb|wt", "L1 write policy (default wb)",
        [](Cli& c, const char* v) {
-         c.req.machine.l1.policy = std::string(v) == "wt"
-                                       ? mem::WritePolicy::kWriteThrough
-                                       : mem::WritePolicy::kWriteBack;
+         c.req.machine.l1.policy = parse_enum<mem::WritePolicy>(
+             v, {{"wb", mem::WritePolicy::kWriteBack},
+                 {"wt", mem::WritePolicy::kWriteThrough}});
+       }},
+      {"machine", "--arbiter", "", "mux|single|dual",
+       "NoC-access arbiter of each core (default dual)",
+       [](Cli& c, const char* v) {
+         c.req.machine.arbiter.kind = parse_enum<pe::ArbiterKind>(
+             v, {{"mux", pe::ArbiterKind::kMux},
+                 {"single", pe::ArbiterKind::kSingleFifo},
+                 {"dual", pe::ArbiterKind::kDualFifo}});
        }},
       {"machine", "--seed", "", "S", "RNG seed (default 1)",
-       [](Cli& c, const char* v) {
-         c.req.seed = static_cast<std::uint64_t>(std::atoll(v));
-       }},
+       [](Cli& c, const char* v) { c.req.seed = parse_num<std::uint64_t>(v); }},
       {"machine", "--verify", "", "", "check against the host reference",
        [](Cli& c, const char*) { c.req.verify = true; }},
       {"machine", "--shards", "", "N",
@@ -137,52 +202,63 @@ const std::vector<Flag>& flag_table() {
        [](Cli& c, const char* v) {
          c.req.machine.scheduler.queue =
              sim::SchedulerConfig::EventQueue::kShardedCalendar;
-         c.req.machine.scheduler.num_shards = std::atoi(v);
+         c.req.machine.scheduler.num_shards = parse_num<std::uint32_t>(v);
        }},
 
       // --- synthetic (SyntheticParams) ---
       {"synthetic", "--injection-rate", "--rate", "R",
        "offered load, flits/node/cycle (default 0.1)",
-       [](Cli& c, const char* v) { c.synth().injection_rate = std::atof(v); }},
+       [](Cli& c, const char* v) {
+         c.synth().injection_rate = parse_fraction(v);
+       }},
       {"synthetic", "--process", "", "bernoulli|onoff",
        "injection process (default bernoulli)",
        [](Cli& c, const char* v) {
-         c.synth().process.kind = std::string(v) == "onoff"
-                                      ? noc::InjectionKind::kOnOff
-                                      : noc::InjectionKind::kBernoulli;
+         c.synth().process.kind = parse_enum<noc::InjectionKind>(
+             v, {{"bernoulli", noc::InjectionKind::kBernoulli},
+                 {"onoff", noc::InjectionKind::kOnOff}});
        }},
       {"synthetic", "--burst-alpha", "", "A",
        "onoff: per-cycle on->off probability (default 0.05)",
        [](Cli& c, const char* v) {
-         c.synth().process.burst_alpha = std::atof(v);
+         c.synth().process.burst_alpha = parse_fraction(v);
        }},
       {"synthetic", "--burst-beta", "", "B",
        "onoff: per-cycle off->on probability (default 0.02)",
        [](Cli& c, const char* v) {
-         c.synth().process.burst_beta = std::atof(v);
+         c.synth().process.burst_beta = parse_fraction(v);
        }},
       {"synthetic", "--flits-per-node", "--flits", "F",
        "per-node budget, non-phased runs (default 1000)",
-       [](Cli& c, const char* v) { c.synth().flits_per_node = std::atoi(v); }},
+       [](Cli& c, const char* v) {
+         c.synth().flits_per_node = parse_positive(v);
+       }},
       {"synthetic", "--hotspot", "", "NODE", "hotspot target node (default 0)",
-       [](Cli& c, const char* v) { c.synth().hotspot_node = std::atoi(v); }},
+       [](Cli& c, const char* v) { c.synth().hotspot_node = parse_count(v); }},
       {"synthetic", "--network", "", "deflection|xy",
        "fabric the pattern runs on (default deflection)",
-       [](Cli& c, const char* v) { c.synth().network = v; }},
+       [](Cli& c, const char* v) {
+         c.synth().network = parse_enum<const char*>(
+             v, {{"deflection", "deflection"}, {"xy", "xy"}});
+       }},
 
       // --- app (AppParams) ---
       {"app", "--size", "", "N", "problem size (grid n / elements)",
-       [](Cli& c, const char* v) { c.app().size = std::atoi(v); }},
+       [](Cli& c, const char* v) { c.app().size = parse_positive(v); }},
       {"app", "--iters", "", "I", "timed iterations/rounds (default 1)",
-       [](Cli& c, const char* v) { c.app().iterations = std::atoi(v); }},
+       [](Cli& c, const char* v) { c.app().iterations = parse_positive(v); }},
       {"app", "--warmup-iters", "", "I", "untimed warm-up iterations",
-       [](Cli& c, const char* v) { c.app().warmup_iterations = std::atoi(v); }},
+       [](Cli& c, const char* v) {
+         c.app().warmup_iterations = parse_count(v);
+       }},
 
       // --- replay (ReplayParams) ---
       {"replay", "--trace", "", "FILE", "input trace to replay",
        [](Cli& c, const char* v) { c.replay().trace_path = v; }},
       {"replay", "--trace-scale", "", "F", "rate-scale the trace first",
-       [](Cli& c, const char* v) { c.replay().trace_scale = std::atof(v); }},
+       [](Cli& c, const char* v) {
+         c.replay().trace_scale = parse_num<double>(v, 0.0);
+       }},
       {"replay", "--force", "", "",
        "allow a RouterConfig differing from the trace header",
        [](Cli& c, const char*) { c.replay().force_config = true; }},
@@ -196,8 +272,7 @@ const std::vector<Flag>& flag_table() {
        [](Cli& c, const char*) { c.req.measurement.phased = true; }},
       {"measurement", "--warmup", "", "C", "warmup cycles (default 1000)",
        [](Cli& c, const char* v) {
-         c.req.measurement.warmup_cycles =
-             static_cast<sim::Cycle>(std::atoll(v));
+         c.req.measurement.warmup_cycles = parse_cycles(v);
        }},
       {"measurement", "--auto-warmup", "", "",
        "detect steady state instead of fixed warmup",
@@ -205,25 +280,22 @@ const std::vector<Flag>& flag_table() {
       {"measurement", "--warmup-step", "", "C",
        "steady-state probe window (default 256)",
        [](Cli& c, const char* v) {
-         c.req.measurement.warmup_step =
-             static_cast<sim::Cycle>(std::atoll(v));
+         c.req.measurement.warmup_step = parse_cycles(v);
        }},
       {"measurement", "--steady-tol", "", "T",
        "steady-state tolerance (default 0.05)",
        [](Cli& c, const char* v) {
-         c.req.measurement.steady_tolerance = std::atof(v);
+         c.req.measurement.steady_tolerance = parse_num<double>(v, 0.0);
        }},
       {"measurement", "--measure", "", "C",
        "measurement window length (default 4096)",
        [](Cli& c, const char* v) {
-         c.req.measurement.measure_cycles =
-             static_cast<sim::Cycle>(std::atoll(v));
+         c.req.measurement.measure_cycles = parse_cycles(v);
        }},
       {"measurement", "--drain-limit", "", "C",
        "max extra drain cycles (default 1000000)",
        [](Cli& c, const char* v) {
-         c.req.measurement.drain_limit =
-             static_cast<sim::Cycle>(std::atoll(v));
+         c.req.measurement.drain_limit = parse_cycles(v);
        }},
 
       // --- telemetry (TelemetryParams + exporters) ---
@@ -231,7 +303,7 @@ const std::vector<Flag>& flag_table() {
        "snapshot stats every N cycles (default 1024 when a telemetry "
        "output below is requested, else off)",
        [](Cli& c, const char* v) {
-         c.req.telemetry.sample_every = static_cast<sim::Cycle>(std::atoll(v));
+         c.req.telemetry.sample_every = parse_cycles(v);
        }},
       {"telemetry", "--timeline", "", "FILE",
        "write the sampled time-series as JSON (medea-timeline-v1)",
@@ -250,13 +322,12 @@ const std::vector<Flag>& flag_table() {
       {"flit-trace", "--trace-sample", "", "N",
        "trace 1-in-N packets by uid hash (default 1 = every packet)",
        [](Cli& c, const char* v) {
-         c.req.flit_trace.sample_every =
-             static_cast<std::uint32_t>(std::atoll(v));
+         c.req.flit_trace.sample_every = parse_num<std::uint32_t>(v);
        }},
       {"flit-trace", "--worst-flits", "", "K",
        "print the top-K worst-packet forensics report (implies tracing)",
        [](Cli& c, const char* v) {
-         c.req.flit_trace.worst_k = std::atoi(v);
+         c.req.flit_trace.worst_k = parse_count(v);
          c.print_worst = true;
        }},
 
@@ -273,15 +344,15 @@ const std::vector<Flag>& flag_table() {
       {"output", "--loads", "", "A,B,..", "explicit sweep load points",
        [](Cli& c, const char* v) { c.sweep_spec.loads = parse_loads(v); }},
       {"output", "--load-start", "", "R", "sweep ramp start (default 0.05)",
-       [](Cli& c, const char* v) { c.sweep_spec.start = std::atof(v); }},
+       [](Cli& c, const char* v) { c.sweep_spec.start = parse_fraction(v); }},
       {"output", "--load-stop", "", "R", "sweep ramp stop (default 0.65)",
-       [](Cli& c, const char* v) { c.sweep_spec.stop = std::atof(v); }},
+       [](Cli& c, const char* v) { c.sweep_spec.stop = parse_fraction(v); }},
       {"output", "--load-step", "", "R", "sweep ramp step (default 0.05)",
-       [](Cli& c, const char* v) { c.sweep_spec.step = std::atof(v); }},
+       [](Cli& c, const char* v) { c.sweep_spec.step = parse_fraction(v); }},
       {"output", "--saturation-ratio", "", "R",
        "accepted/offered below R flags saturation (default 0.9)",
        [](Cli& c, const char* v) {
-         c.sweep_spec.saturation_ratio = std::atof(v);
+         c.sweep_spec.saturation_ratio = parse_fraction(v);
        }},
       {"output", "--stop-at-saturation", "", "",
        "end the sweep at the first saturated point",
@@ -447,7 +518,13 @@ int main(int argc, char** argv) {
       const char* v = match(a, f.name, valued);
       if (v == nullptr && f.alias[0] != '\0') v = match(a, f.alias, valued);
       if (v != nullptr) {
-        f.set(cli, v);
+        try {
+          f.set(cli, v);
+        } catch (const std::invalid_argument& e) {
+          std::fprintf(stderr, "error: %s: %s\n",
+                       a.substr(0, a.find('=')).c_str(), e.what());
+          return 1;
+        }
         handled = true;
         break;
       }

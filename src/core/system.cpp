@@ -56,11 +56,13 @@ const MedeaConfig& validated(const MedeaConfig& cfg) {
 }  // namespace
 
 MedeaSystem::MedeaSystem(const MedeaConfig& cfg)
-    : cfg_(validated(cfg)), sched_(cfg.scheduler), map_(make_map_config(cfg)) {
+    : cfg_(validated(cfg)),
+      dom_(cfg.scheduler, 1),
+      map_(make_map_config(cfg)) {
   net_ = std::make_unique<noc::Network>(
-      sched_, noc::TorusGeometry(cfg_.noc_width, cfg_.noc_height),
-      cfg_.router, cfg_.seed);
-  mpmmu_ = std::make_unique<mpmmu::Mpmmu>(sched_, *net_, cfg_.mpmmu_node,
+      dom_, noc::TorusGeometry(cfg_.noc_width, cfg_.noc_height), cfg_.router,
+      cfg_.seed);
+  mpmmu_ = std::make_unique<mpmmu::Mpmmu>(scheduler(), *net_, cfg_.mpmmu_node,
                                           cfg_.num_compute_cores, cfg_.mpmmu,
                                           store_);
   pe::PeConfig pc;
@@ -72,7 +74,8 @@ MedeaSystem::MedeaSystem(const MedeaConfig& cfg)
   cores_.reserve(static_cast<std::size_t>(cfg_.num_compute_cores));
   for (int rank = 0; rank < cfg_.num_compute_cores; ++rank) {
     cores_.push_back(std::make_unique<pe::ProcessingElement>(
-        sched_, *net_, node_of_rank(rank), rank, cfg_.mpmmu_node, pc, map_));
+        scheduler(), *net_, node_of_rank(rank), rank, cfg_.mpmmu_node, pc,
+        map_));
   }
   shared_bump_ = map_.shared_base();
 }
@@ -97,7 +100,7 @@ bool MedeaSystem::all_programs_done() const {
 }
 
 sim::Cycle MedeaSystem::run(sim::Cycle max_cycles) {
-  const bool completed = sched_.run(max_cycles);
+  const bool completed = dom_.run(max_cycles);
   if (!completed) {
     throw std::runtime_error("MedeaSystem::run: cycle limit " +
                              std::to_string(max_cycles) +
@@ -107,7 +110,7 @@ sim::Cycle MedeaSystem::run(sim::Cycle max_cycles) {
   }
   if (!all_programs_done()) {
     std::ostringstream os;
-    os << "MedeaSystem::run: system went idle at cycle " << sched_.now()
+    os << "MedeaSystem::run: system went idle at cycle " << dom_.now()
        << " with unfinished programs on ranks:";
     for (int r = 0; r < num_cores(); ++r) {
       if (!core(r).program_done()) os << ' ' << r;
@@ -115,7 +118,7 @@ sim::Cycle MedeaSystem::run(sim::Cycle max_cycles) {
     os << " (blocked receive / missing barrier partner?)";
     throw std::runtime_error(os.str());
   }
-  return sched_.now();
+  return dom_.now();
 }
 
 void MedeaSystem::flush_all_caches_backdoor() {

@@ -9,6 +9,7 @@
 #include "mpmmu/mpmmu.h"
 #include "noc/network.h"
 #include "pe/processing_element.h"
+#include "sim/domain.h"
 #include "sim/scheduler.h"
 #include "sim/stats.h"
 #include "sim/task.h"
@@ -35,7 +36,10 @@ class MedeaSystem {
   explicit MedeaSystem(const MedeaConfig& cfg);
 
   const MedeaConfig& config() const { return cfg_; }
-  sim::Scheduler& scheduler() { return sched_; }
+  /// The chip runs on a one-shard domain (PEs, caches and the MPMMU do
+  /// not shard); scheduler() is that shard.
+  sim::SimDomain& domain() { return dom_; }
+  sim::Scheduler& scheduler() { return dom_.shard(0); }
   noc::Network& network() { return *net_; }
   mpmmu::Mpmmu& mpmmu() { return *mpmmu_; }
   const mem::MemoryMap& memory_map() const { return map_; }
@@ -87,7 +91,7 @@ class MedeaSystem {
 
  private:
   MedeaConfig cfg_;
-  sim::Scheduler sched_;
+  sim::SimDomain dom_;
   mem::MemoryMap map_;
   mem::BackingStore store_;
   std::unique_ptr<noc::Network> net_;

@@ -56,15 +56,13 @@ class TorusGeometry {
  public:
   /// Coord packs x/y into uint8_t (flit headers carry 8-bit node
   /// coordinates, paper §II-B), so each axis is capped at 256 nodes —
-  /// far above the paper's 60x60 — and the cast sites in coord_of()/
-  /// neighbor() below are provably value-preserving.
+  /// far above the paper's 4x4 fabric.  noc::Fabric rejects any other
+  /// axis size with std::invalid_argument in every build type, so the
+  /// cast sites in coord_of()/neighbor() below are value-preserving for
+  /// every geometry a fabric runs on.
   static constexpr int kMaxAxis = 256;
 
-  TorusGeometry(int width, int height) : w_(width), h_(height) {
-    assert(width >= 1 && height >= 1);
-    assert(width <= kMaxAxis && height <= kMaxAxis &&
-           "axis size exceeds Coord's uint8_t range");
-  }
+  TorusGeometry(int width, int height) : w_(width), h_(height) {}
 
   int width() const { return w_; }
   int height() const { return h_; }

@@ -80,8 +80,9 @@ inline constexpr int kMaxPacketFlits = 1 << FlitFormat::kSeqNumBits;
 /// within-cycle tick order or shard interleaving — which keeps the
 /// router's oldest-first uid tie-break bit-identical across kernels.
 /// 20 sequence bits leave 12 node bits: up to 4096 nodes and ~1M flits
-/// per node per run (both asserted where used).
+/// per node per run (noc::Fabric enforces both, in every build type).
 inline constexpr std::uint32_t kFlitUidSeqBits = 20;
+inline constexpr int kMaxFlitUidNodes = 1 << (32 - kFlitUidSeqBits);
 
 /// One 64-bit flit, decoded.
 struct Flit {

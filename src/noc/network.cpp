@@ -1,24 +1,9 @@
 #include "noc/network.h"
 
+#include <cassert>
 #include <utility>
 
 namespace medea::noc {
-
-namespace {
-/// See the header comment: capacity 2 is a kernel bookkeeping allowance,
-/// not extra buffering; steady-state link occupancy is <= 1 flit.
-constexpr std::size_t kLinkCapacity = 2;
-
-Dir opposite(Dir d) {
-  switch (d) {
-    case Dir::kNorth: return Dir::kSouth;
-    case Dir::kSouth: return Dir::kNorth;
-    case Dir::kEast: return Dir::kWest;
-    case Dir::kWest: return Dir::kEast;
-  }
-  return d;
-}
-}  // namespace
 
 /// Per-shard flit-event buffer.  Routers of one shard record their
 /// events here during the parallel dispatch phase; the domain's serial
@@ -104,74 +89,50 @@ void Network::ShardChannel::relay(void* ctx, std::vector<Flit>& staged) {
   for (Flit& f : staged) ch->mail.push_back(std::move(f));
 }
 
-Network::Network(sim::Scheduler& sched, const TorusGeometry& geom,
-                 const RouterConfig& cfg, std::uint64_t seed)
-    : geom_(geom), cfg_(cfg) {
-  build_single(sched, seed);
-}
-
 Network::Network(sim::SimDomain& dom, const TorusGeometry& geom,
                  const RouterConfig& cfg, std::uint64_t seed)
-    : geom_(geom), cfg_(cfg) {
-  if (!dom.sharded()) {
-    // Transparent fallback: a 1-shard domain builds the exact network a
-    // plain Scheduler would (same construction order, same RNG draws).
-    build_single(dom.shard(0), seed);
-    return;
+    : Fabric(dom, geom), cfg_(cfg) {
+  serial_.assert_held();  // construction time: single-threaded
+  if (dom_.sharded()) partition_row_bands();
+  // Expand the network seed into one private stream per router (see the
+  // DeflectionRouter constructor comment: per-router generators keep
+  // stochastic tie-breaks independent of within-cycle tick order).
+  // Routers are built in node order on every shard, so the RNG draws and
+  // the component construction order (the canonical dispatch key, global
+  // via the domain's shared counter) match the single-thread build.
+  sim::SplitMix64 streams(seed);
+  for (int id = 0; id < num_nodes(); ++id) {
+    sim::StatSet& st =
+        shard_stats_.empty()
+            ? stats_
+            : *shard_stats_[static_cast<std::size_t>(shard_of(id))];
+    routers_.push_back(std::make_unique<DeflectionRouter>(
+        sched_of(id), geom_, geom_.coord_of(id), cfg_, st, streams.next()));
   }
-  dom_ = &dom;
-  build_sharded(seed);
+  wire_links("link");
+  if (!dom_.sharded()) return;
+  for (int s = 0; s < dom_.num_shards(); ++s) {
+    dom_.add_shard_drain(
+        s, [this, s](sim::Cycle now) { drain_shard(s, now); });
+  }
+  dom_.add_cycle_end([this](sim::Cycle) { flush_observer_events(); });
+  dom_.add_pre_sample([this] { refresh_stats(); });
 }
 
 Network::~Network() = default;
 
-void Network::build_single(sim::Scheduler& sched, std::uint64_t seed) {
-  serial_.assert_held();  // construction time: single-threaded
-  const int n = geom_.num_nodes();
-  node_seq_.assign(static_cast<std::size_t>(n), 0);
-  node_sched_.assign(static_cast<std::size_t>(n), &sched);
-  // Expand the network seed into one private stream per router (see the
-  // DeflectionRouter constructor comment: per-router generators keep
-  // stochastic tie-breaks independent of within-cycle tick order).
-  sim::SplitMix64 streams(seed);
-  routers_.reserve(static_cast<std::size_t>(n));
-  for (int id = 0; id < n; ++id) {
-    routers_.push_back(std::make_unique<DeflectionRouter>(
-        sched, geom_, geom_.coord_of(id), cfg_, stats_, streams.next()));
-  }
-  // One unidirectional link per (router, direction).  The link leaving
-  // router R through direction d enters neighbour(R, d) through the
-  // opposite port.  On 1-wide or 1-tall tori a link can loop back to its
-  // own router; the wiring below handles that uniformly.
-  for (int id = 0; id < n; ++id) {
-    const Coord from = geom_.coord_of(id);
-    for (int d = 0; d < kNumDirs; ++d) {
-      const Dir dir = static_cast<Dir>(d);
-      const Coord to = geom_.neighbor(from, dir);
-      auto link = std::make_unique<sim::Fifo<Flit>>(
-          sched,
-          "link" + from.to_string() + to_string(dir) + "->" + to.to_string(),
-          kLinkCapacity);
-      routers_[static_cast<std::size_t>(id)]->connect_output(dir, link.get());
-      router(to).connect_input(opposite(dir), link.get());
-      links_.push_back(std::move(link));
-    }
-  }
-}
-
-void Network::build_sharded(std::uint64_t seed) {
-  const int n = geom_.num_nodes();
-  const int num_shards = dom_->num_shards();
-  const int height = geom_.height();
-  node_seq_.assign(static_cast<std::size_t>(n), 0);
-  node_sched_.resize(static_cast<std::size_t>(n));
+void Network::partition_row_bands() {
+  const int n = num_nodes();
+  const int num_shards = dom_.num_shards();
   shard_of_node_.resize(static_cast<std::size_t>(n));
   for (int id = 0; id < n; ++id) {
     // Contiguous row bands: row r belongs to shard r*S/H, so node ids
     // within a shard are contiguous (canonical-order fan-in relies on
     // this) and band heights differ by at most one row.
-    shard_of_node_[static_cast<std::size_t>(id)] =
-        static_cast<int>(geom_.coord_of(id).y) * num_shards / height;
+    const int s =
+        static_cast<int>(geom_.coord_of(id).y) * num_shards / geom_.height();
+    shard_of_node_[static_cast<std::size_t>(id)] = s;
+    node_sched_[static_cast<std::size_t>(id)] = &dom_.shard(s);
   }
   shard_stats_.reserve(static_cast<std::size_t>(num_shards));
   shard_obs_.reserve(static_cast<std::size_t>(num_shards));
@@ -181,68 +142,34 @@ void Network::build_sharded(std::uint64_t seed) {
   }
   shard_channels_.resize(static_cast<std::size_t>(num_shards));
   shard_mail_count_.assign(static_cast<std::size_t>(num_shards), 0);
+}
 
-  // Routers, in node order on every shard: the RNG stream draws and the
-  // component construction order (the canonical dispatch key, global via
-  // the domain's shared counter) match the single-thread build exactly.
-  sim::SplitMix64 streams(seed);
-  routers_.reserve(static_cast<std::size_t>(n));
-  for (int id = 0; id < n; ++id) {
-    const int s = shard_of_node_[static_cast<std::size_t>(id)];
-    node_sched_[static_cast<std::size_t>(id)] = &dom_->shard(s);
-    routers_.push_back(std::make_unique<DeflectionRouter>(
-        dom_->shard(s), geom_, geom_.coord_of(id), cfg_,
-        *shard_stats_[static_cast<std::size_t>(s)], streams.next()));
-  }
+void Network::wire_seam(int from, Dir dir, int to, const std::string& name) {
+  // A shard-crossing link (vertical links at band boundaries, torus wrap
+  // included) splits into a producer-side TX FIFO relaying into the
+  // channel mailbox and a consumer-side RX FIFO the consumer shard's
+  // drain phase fills.
+  const int sp = shard_of(from);
+  const int sc = shard_of(to);
+  auto tx = std::make_unique<sim::Fifo<Flit>>(dom_.shard(sp), name + ".tx",
+                                              kLinkCapacity);
+  auto rx = std::make_unique<sim::Fifo<Flit>>(dom_.shard(sc), name + ".rx",
+                                              kLinkCapacity);
+  connect(from, dir, to, tx.get(), rx.get());  // sets rx's consumer
+  auto ch = std::make_unique<ShardChannel>();
+  ch->rx = rx.get();
+  tx->set_relay(&ShardChannel::relay, ch.get());
+  shard_channels_[static_cast<std::size_t>(sc)].push_back(ch.get());
+  channels_.push_back(std::move(ch));
+  links_.push_back(std::move(tx));
+  links_.push_back(std::move(rx));
+}
 
-  // Links.  A link whose endpoints share a shard is an ordinary FIFO on
-  // that shard's scheduler.  A shard-crossing link (vertical links at
-  // band boundaries, torus wrap included) splits into a producer-side
-  // TX FIFO relaying into the channel mailbox and a consumer-side RX
-  // FIFO the consumer shard's drain phase fills.
-  for (int id = 0; id < n; ++id) {
-    const Coord from = geom_.coord_of(id);
-    const int sp = shard_of_node_[static_cast<std::size_t>(id)];
-    for (int d = 0; d < kNumDirs; ++d) {
-      const Dir dir = static_cast<Dir>(d);
-      const Coord to = geom_.neighbor(from, dir);
-      const int to_id = geom_.node_id(to);
-      const int sc = shard_of_node_[static_cast<std::size_t>(to_id)];
-      const std::string name = "link" + from.to_string() + to_string(dir) +
-                               "->" + to.to_string();
-      if (sp == sc) {
-        auto link = std::make_unique<sim::Fifo<Flit>>(dom_->shard(sp), name,
-                                                      kLinkCapacity);
-        routers_[static_cast<std::size_t>(id)]->connect_output(dir,
-                                                               link.get());
-        router(to).connect_input(opposite(dir), link.get());
-        links_.push_back(std::move(link));
-      } else {
-        auto tx = std::make_unique<sim::Fifo<Flit>>(dom_->shard(sp),
-                                                    name + ".tx",
-                                                    kLinkCapacity);
-        auto rx = std::make_unique<sim::Fifo<Flit>>(dom_->shard(sc),
-                                                    name + ".rx",
-                                                    kLinkCapacity);
-        routers_[static_cast<std::size_t>(id)]->connect_output(dir, tx.get());
-        router(to).connect_input(opposite(dir), rx.get());  // sets consumer
-        auto ch = std::make_unique<ShardChannel>();
-        ch->rx = rx.get();
-        tx->set_relay(&ShardChannel::relay, ch.get());
-        shard_channels_[static_cast<std::size_t>(sc)].push_back(ch.get());
-        channels_.push_back(std::move(ch));
-        links_.push_back(std::move(tx));
-        links_.push_back(std::move(rx));
-      }
-    }
-  }
-
-  for (int s = 0; s < num_shards; ++s) {
-    dom_->add_shard_drain(
-        s, [this, s](sim::Cycle now) { drain_shard(s, now); });
-  }
-  dom_->add_cycle_end([this](sim::Cycle) { flush_observer_events(); });
-  dom_->add_pre_sample([this] { refresh_stats(); });
+FlitObserver* Network::node_observer(int node_id) {
+  // Sharded: routers record into their shard's buffer; the domain's
+  // serial phase replays the buffers into the target in canonical order.
+  if (shard_obs_.empty()) return Fabric::node_observer(node_id);
+  return shard_obs_[static_cast<std::size_t>(shard_of(node_id))].get();
 }
 
 void Network::drain_shard(int s, sim::Cycle now) {
@@ -259,7 +186,7 @@ void Network::drain_shard(int s, sim::Cycle now) {
     // now+1, issued on the consumer's own scheduler (shard s).
     sim::Component* consumer = ch->rx->consumer();
     assert(consumer != nullptr);
-    dom_->shard(s).wake_at(*consumer, now + 1);
+    dom_.shard(s).wake_at(*consumer, now + 1);
   }
 }
 
@@ -268,39 +195,10 @@ void Network::flush_observer_events() {
   for (auto& buf : shard_obs_) buf->flush_to(obs_target_);
 }
 
-void Network::refresh_stats() {
-  // Domain serial phase (pre-sample hook) or external post-run call —
-  // either way no shard is writing its StatSet.
-  serial_.assert_held();
-  if (shard_stats_.empty()) return;
-  stats_.clear();
-  for (const auto& ss : shard_stats_) stats_.merge(*ss);
-}
-
 std::uint64_t Network::mailbox_flits() const {
   std::uint64_t total = 0;
   for (std::uint64_t c : shard_mail_count_) total += c;
   return total;
-}
-
-void Network::set_observer(FlitObserver* obs) {
-  serial_.assert_held();  // wiring time: no run in flight
-  obs_target_ = obs;
-  if (dom_ == nullptr || shard_obs_.empty()) {
-    for (auto& r : routers_) r->set_observer(obs);
-    return;
-  }
-  // Sharded: routers record into their shard's buffer; the domain's
-  // serial phase replays the buffers into `obs` in canonical order.
-  for (int id = 0; id < num_nodes(); ++id) {
-    FlitObserver* target =
-        obs == nullptr
-            ? nullptr
-            : shard_obs_[static_cast<std::size_t>(
-                             shard_of_node_[static_cast<std::size_t>(id)])]
-                  .get();
-    routers_[static_cast<std::size_t>(id)]->set_observer(target);
-  }
 }
 
 }  // namespace medea::noc

@@ -20,12 +20,9 @@ DeflectionRouter::DeflectionRouter(sim::Scheduler& sched,
                                    const RouterConfig& cfg,
                                    sim::StatSet& net_stats,
                                    std::uint64_t rng_seed)
-    : sim::Component(sched, "router" + pos.to_string()),
-      geom_(geom),
-      pos_(pos),
-      node_id_(geom.node_id(pos)),
+    : Router(sched, "router" + pos.to_string(), geom, pos,
+             cfg.inject_queue_depth, cfg.eject_queue_depth),
       cfg_(cfg),
-      stats_(net_stats),
       rng_(rng_seed),
       st_delivered_(net_stats.counter("noc.flits_delivered")),
       st_delivered_here_(net_stats.counter(
@@ -35,35 +32,11 @@ DeflectionRouter::DeflectionRouter(sim::Scheduler& sched,
       st_injected_(net_stats.counter("noc.flits_injected")),
       acc_latency_(net_stats.accumulator("noc.latency")),
       acc_hops_(net_stats.accumulator("noc.hops")),
-      acc_defl_(net_stats.accumulator("noc.deflections")),
-      inject_q_(sched, name() + ".inject",
-                static_cast<std::size_t>(cfg.inject_queue_depth)),
-      eject_q_(sched, name() + ".eject",
-               static_cast<std::size_t>(cfg.eject_queue_depth)) {
-  inject_q_.set_consumer(this);
-}
-
-void DeflectionRouter::connect_input(Dir d, sim::Fifo<Flit>* link) {
-  in_[static_cast<int>(d)] = link;
-  link->set_consumer(this);
-}
-
-void DeflectionRouter::connect_output(Dir d, sim::Fifo<Flit>* link) {
-  out_[static_cast<int>(d)] = link;
-}
+      acc_defl_(net_stats.accumulator("noc.deflections")) {}
 
 void DeflectionRouter::tick(sim::Cycle now) {
-  // 0. Lifecycle tracing: announce inject-queue entries that became
-  //    visible this cycle (the FIFO wakes us whenever that happens, so
-  //    the enter cycle observed here is exact).  Read-only — peek never
-  //    perturbs FIFO timing — and skipped entirely unless the attached
-  //    observer opted into hop-level events.
-  if (lifecycle_ != nullptr) {
-    for (std::size_t i = q_announced_; i < inject_q_.size(); ++i) {
-      lifecycle_->on_queue_enter(now, node_id_, inject_q_.peek(i));
-    }
-    q_announced_ = inject_q_.size();
-  }
+  // 0. Lifecycle tracing: announce newly visible inject-queue entries.
+  announce_queue_entries(now);
 
   // 1. Accept at most one flit per input link (hot potato: the router
   //    never stores flits, so everything accepted must leave this cycle).
@@ -158,8 +131,7 @@ void DeflectionRouter::tick(sim::Cycle now) {
     bool any_free = false;
     for (bool pf : port_free) any_free = any_free || pf;
     if (any_free) {
-      Flit f = inject_q_.pop();
-      if (q_announced_ > 0) --q_announced_;
+      Flit f = pop_inject();
       f.inject_cycle = now;
       bool productive = false;
       const int port = pick_port(f, productive);

@@ -1,13 +1,9 @@
 #pragma once
 
-#include <array>
 #include <vector>
 
-#include "noc/coord.h"
-#include "noc/flit.h"
-#include "sim/fifo.h"
+#include "noc/fabric.h"
 #include "sim/rng.h"
-#include "sim/scheduler.h"
 #include "sim/stats.h"
 
 /// \file router.h
@@ -43,7 +39,7 @@ struct RouterConfig {
   bool operator==(const RouterConfig&) const = default;
 };
 
-class DeflectionRouter : public sim::Component {
+class DeflectionRouter final : public Router {
  public:
   /// `rng_seed` seeds this router's private tie-break stream.  Each
   /// router owns its generator so stochastic choices depend only on the
@@ -54,40 +50,11 @@ class DeflectionRouter : public sim::Component {
                    const RouterConfig& cfg, sim::StatSet& net_stats,
                    std::uint64_t rng_seed);
 
-  Coord pos() const { return pos_; }
-
-  /// Wiring (done once by Network during construction).
-  void connect_input(Dir d, sim::Fifo<Flit>* link);
-  void connect_output(Dir d, sim::Fifo<Flit>* link);
-
-  /// Local-port queues: the network interface pushes into inject() and
-  /// pops from eject().
-  sim::Fifo<Flit>& inject() { return inject_q_; }
-  sim::Fifo<Flit>& eject() { return eject_q_; }
-
-  /// Attach (or detach with nullptr) a flit-event observer.  The
-  /// hop-level lifecycle events are only fired when the observer asks
-  /// for them (FlitObserver::wants_lifecycle), cached here so the tick
-  /// path keeps its one-pointer-test cost otherwise.
-  void set_observer(FlitObserver* obs) {
-    observer_ = obs;
-    lifecycle_ = (obs != nullptr && obs->wants_lifecycle()) ? obs : nullptr;
-  }
-
   void tick(sim::Cycle now) override;
 
  private:
-  const TorusGeometry& geom_;
-  Coord pos_;
-  int node_id_;
   RouterConfig cfg_;
-  sim::StatSet& stats_;
   sim::Xoshiro256 rng_;
-  FlitObserver* observer_ = nullptr;
-  FlitObserver* lifecycle_ = nullptr;  ///< observer_ iff it wants hop events
-  /// Inject-queue entries already announced via on_queue_enter (a
-  /// watermark into the committed queue; decremented on pop).
-  std::size_t q_announced_ = 0;
 
   // Stat handles resolved once at construction; bumping these on the
   // tick path avoids the per-event string-keyed map lookup.
@@ -99,11 +66,6 @@ class DeflectionRouter : public sim::Component {
   sim::Accumulator& acc_latency_;
   sim::Accumulator& acc_hops_;
   sim::Accumulator& acc_defl_;
-
-  std::array<sim::Fifo<Flit>*, kNumDirs> in_{};
-  std::array<sim::Fifo<Flit>*, kNumDirs> out_{};
-  sim::Fifo<Flit> inject_q_;
-  sim::Fifo<Flit> eject_q_;
 
   // scratch, kept as members to avoid per-tick allocation
   std::vector<Flit> route_set_;

@@ -1,8 +1,10 @@
 #include "noc/traffic.h"
 
 #include <bit>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace medea::noc {
 
@@ -109,6 +111,21 @@ const char* to_string(TrafficPattern p) {
     case TrafficPattern::kBitReversal: return "bitrev";
   }
   return "?";
+}
+
+int run_traffic(sim::SimDomain& dom, Fabric& net, const TrafficConfig& cfg,
+                sim::Cycle limit) {
+  std::vector<std::unique_ptr<TrafficEndpoint<Fabric>>> eps;
+  eps.reserve(static_cast<std::size_t>(net.num_nodes()));
+  for (int i = 0; i < net.num_nodes(); ++i) {
+    eps.push_back(std::make_unique<TrafficEndpoint<Fabric>>(net.sched_of(i),
+                                                            net, i, cfg));
+  }
+  dom.run_or_throw(limit);
+  net.refresh_stats();
+  int total = 0;
+  for (const auto& e : eps) total += e->received();
+  return total;
 }
 
 int pick_destination(TrafficPattern p, const TorusGeometry& geom, int src,

@@ -1,16 +1,14 @@
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "noc/coord.h"
+#include "noc/fabric.h"
 #include "noc/flit.h"
 #include "sim/domain.h"
-#include "sim/fifo.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
-#include "sim/stats.h"
 
 /// \file traffic.h
 /// Synthetic traffic generation for NoC characterization (used by the
@@ -30,8 +28,8 @@
 ///
 /// A TrafficEndpoint offers flits to the fabric under a pluggable
 /// InjectionProcess (Bernoulli, bursty on-off) and sinks whatever
-/// arrives.  The template keeps one generator usable for both Network
-/// (deflection) and XyNetwork (buffered XY baseline).
+/// arrives, on either fabric (noc::Fabric: the deflection Network or
+/// the buffered-XY baseline).
 
 namespace medea::noc {
 
@@ -102,11 +100,11 @@ struct TrafficConfig {
   std::uint64_t seed = 1;
 };
 
-/// One traffic endpoint attached to node `node` of fabric N (Network or
-/// XyNetwork: anything with inject(int)/eject(int)/geometry()/
-/// node_flit_uid()).  Endpoints must be constructed against the node's
-/// own scheduler (net.sched_of(node)) so sharded fabrics keep each
-/// node's generator on its shard.
+/// One traffic endpoint attached to node `node` of fabric N.  Every run
+/// helper uses N = noc::Fabric (all its tick-path calls are
+/// non-virtual); a concrete fabric type works too.  Endpoints must be
+/// constructed against the node's own scheduler (net.sched_of(node)) so
+/// sharded fabrics keep each node's generator on its shard.
 ///
 /// Budget mode (flits_per_node > 0) self-terminates after the budget is
 /// spent — the classic "drain a fixed batch" run.  Unlimited mode
@@ -193,43 +191,13 @@ class TrafficEndpoint : public sim::Component {
   std::uint64_t refused_ = 0;
 };
 
-/// Convenience: attach endpoints to every node of a fabric and run until
-/// drained (or `limit`).  Returns total flits received across all nodes.
-/// Budget mode only (cfg.flits_per_node > 0) — unlimited endpoints never
-/// drain; phased runs go through workload::run_phased_traffic instead.
-template <typename N>
-int run_traffic(sim::Scheduler& sched, N& net, const TrafficConfig& cfg,
-                sim::Cycle limit = 50'000'000) {
-  std::vector<std::unique_ptr<TrafficEndpoint<N>>> eps;
-  eps.reserve(static_cast<std::size_t>(net.num_nodes()));
-  for (int i = 0; i < net.num_nodes(); ++i) {
-    eps.push_back(std::make_unique<TrafficEndpoint<N>>(sched, net, i, cfg));
-  }
-  sched.run(limit);
-  int total = 0;
-  for (auto& e : eps) total += e->received();
-  return total;
-}
-
-/// Sharded variant: endpoints are constructed on their node's shard
-/// scheduler, the domain runs the lockstep loop, and the fabric's
-/// aggregate stats are refreshed before returning.  Bit-identical
-/// results to the Scheduler overload (same endpoint construction order,
-/// same per-node RNG and uid streams).
-template <typename N>
-int run_traffic(sim::SimDomain& dom, N& net, const TrafficConfig& cfg,
-                sim::Cycle limit = 50'000'000) {
-  std::vector<std::unique_ptr<TrafficEndpoint<N>>> eps;
-  eps.reserve(static_cast<std::size_t>(net.num_nodes()));
-  for (int i = 0; i < net.num_nodes(); ++i) {
-    eps.push_back(
-        std::make_unique<TrafficEndpoint<N>>(net.sched_of(i), net, i, cfg));
-  }
-  dom.run(limit);
-  net.refresh_stats();
-  int total = 0;
-  for (auto& e : eps) total += e->received();
-  return total;
-}
+/// Attach endpoints to every node of `net` (each on its node's shard),
+/// run `dom` until the fabric drains and refresh the fabric's stats.
+/// Returns total flits received across all nodes.  Budget mode only
+/// (cfg.flits_per_node > 0) — unlimited endpoints never drain; phased
+/// runs go through workload::run_phased_traffic instead.  Throws
+/// std::runtime_error when the run reaches `limit` without draining.
+int run_traffic(sim::SimDomain& dom, Fabric& net, const TrafficConfig& cfg,
+                sim::Cycle limit = 50'000'000);
 
 }  // namespace medea::noc

@@ -7,30 +7,14 @@ namespace medea::noc {
 XyRouter::XyRouter(sim::Scheduler& sched, const TorusGeometry& geom, Coord pos,
                    const XyRouterConfig& cfg, bool torus_wrap,
                    sim::StatSet& stats)
-    : sim::Component(sched, "xyrouter" + pos.to_string()),
-      geom_(geom),
-      pos_(pos),
-      node_id_(geom.node_id(pos)),
+    : Router(sched, "xyrouter" + pos.to_string(), geom, pos,
+             cfg.inject_queue_depth, cfg.eject_queue_depth),
       cfg_(cfg),
       torus_wrap_(torus_wrap),
       stats_(stats),
-      st_delivered_here_(stats.counter(
-          "xynoc.router." + std::to_string(geom.node_id(pos)) + ".delivered")),
-      inject_q_(sched, name() + ".inject",
-                static_cast<std::size_t>(cfg.inject_queue_depth)),
-      eject_q_(sched, name() + ".eject",
-               static_cast<std::size_t>(cfg.eject_queue_depth)) {
-  inject_q_.set_consumer(this);
-}
-
-void XyRouter::connect_input(Dir d, sim::Fifo<Flit>* link) {
-  in_[static_cast<int>(d)] = link;
-  link->set_consumer(this);
-}
-
-void XyRouter::connect_output(Dir d, sim::Fifo<Flit>* link) {
-  out_[static_cast<int>(d)] = link;
-}
+      st_delivered_here_(stats.counter("xynoc.router." +
+                                       std::to_string(geom.node_id(pos)) +
+                                       ".delivered")) {}
 
 std::size_t XyRouter::buffered() const {
   std::size_t n = 0;
@@ -61,15 +45,8 @@ int XyRouter::route(Coord dst) const {
 }
 
 void XyRouter::tick(sim::Cycle now) {
-  // 0. Lifecycle tracing: announce inject-queue entries that became
-  //    visible this cycle (same contract as DeflectionRouter; skipped
-  //    unless the observer opted into hop-level events).
-  if (lifecycle_ != nullptr) {
-    for (std::size_t i = q_announced_; i < inject_q_.size(); ++i) {
-      lifecycle_->on_queue_enter(now, node_id_, inject_q_.peek(i));
-    }
-    q_announced_ = inject_q_.size();
-  }
+  // 0. Lifecycle tracing: announce newly visible inject-queue entries.
+  announce_queue_entries(now);
 
   // 1. Accept one flit per input link into the input buffers, space
   //    permitting (back-pressure: a full buffer leaves the flit on the
@@ -86,8 +63,7 @@ void XyRouter::tick(sim::Cycle now) {
   if (!inject_q_.empty() &&
       buf_[kNumDirs].size() <
           static_cast<std::size_t>(cfg_.input_buffer_depth)) {
-    Flit f = inject_q_.pop();
-    if (q_announced_ > 0) --q_announced_;
+    Flit f = pop_inject();
     f.inject_cycle = now;
     if (observer_ != nullptr) observer_->on_inject(now, node_id_, f);
     buf_[kNumDirs].push_back(f);

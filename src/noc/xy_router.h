@@ -2,12 +2,8 @@
 
 #include <array>
 #include <deque>
-#include <vector>
 
-#include "noc/coord.h"
-#include "noc/flit.h"
-#include "sim/fifo.h"
-#include "sim/scheduler.h"
+#include "noc/fabric.h"
 #include "sim/stats.h"
 
 /// \file xy_router.h
@@ -44,28 +40,10 @@ struct XyRouterConfig {
   bool operator==(const XyRouterConfig&) const = default;
 };
 
-class XyRouter : public sim::Component {
+class XyRouter final : public Router {
  public:
   XyRouter(sim::Scheduler& sched, const TorusGeometry& geom, Coord pos,
            const XyRouterConfig& cfg, bool torus_wrap, sim::StatSet& stats);
-
-  Coord pos() const { return pos_; }
-
-  void connect_input(Dir d, sim::Fifo<Flit>* link);
-  void connect_output(Dir d, sim::Fifo<Flit>* link);
-
-  sim::Fifo<Flit>& inject() { return inject_q_; }
-  sim::Fifo<Flit>& eject() { return eject_q_; }
-
-  /// Attach (or detach with nullptr) a flit-event observer — the same
-  /// hook DeflectionRouter has, so the trace recorder can capture the
-  /// buffered-XY baseline for record/replay comparison studies.  Hop-
-  /// level events fire only for observers that want them (see
-  /// FlitObserver::wants_lifecycle), cached here off the tick path.
-  void set_observer(FlitObserver* obs) {
-    observer_ = obs;
-    lifecycle_ = (obs != nullptr && obs->wants_lifecycle()) ? obs : nullptr;
-  }
 
   void tick(sim::Cycle now) override;
 
@@ -78,27 +56,17 @@ class XyRouter : public sim::Component {
   /// Returns kNumDirs when dst == pos_ (eject).
   int route(Coord dst) const;
 
-  const TorusGeometry& geom_;
-  Coord pos_;
-  int node_id_;
   XyRouterConfig cfg_;
   bool torus_wrap_;
   sim::StatSet& stats_;
-  FlitObserver* observer_ = nullptr;
-  FlitObserver* lifecycle_ = nullptr;  ///< observer_ iff it wants hop events
-  std::size_t q_announced_ = 0;  ///< inject-queue entries already announced
 
   /// Per-router delivery counter resolved once at construction, the
   /// source of telemetry's spatial ejection heatmaps (the fabric-wide
   /// counters above it stay string-keyed; this one is on the tick path).
   sim::Stat& st_delivered_here_;
 
-  std::array<sim::Fifo<Flit>*, kNumDirs> in_{};
-  std::array<sim::Fifo<Flit>*, kNumDirs> out_{};
   // Internal input buffers (index kNumDirs = local inject staging).
   std::array<std::deque<Flit>, kNumDirs + 1> buf_;
-  sim::Fifo<Flit> inject_q_;
-  sim::Fifo<Flit> eject_q_;
   int rr_ = 0;  // round-robin pointer over input buffers per output port
 };
 

@@ -14,6 +14,7 @@
 #include "apps/jacobi.h"
 #include "apps/reduction.h"
 #include "core/system.h"
+#include "noc/network.h"
 #include "noc/traffic.h"
 #include "noc/xy_network.h"
 #include "workload/measure.h"
@@ -51,16 +52,9 @@ void add_memory_telemetry(ScopedTelemetry& telemetry, core::MedeaSystem& sys) {
 /// at any shard count), so bucket_pushes/overflow_pushes (two-tier
 /// placement) and commit_pushes/commits_deduped (a split boundary link
 /// arms its TX and RX halves separately) stay out — all four remain
-/// visible as timeline series via Sampler::attach().
-void add_sched_stats(const sim::Scheduler& sched, sim::StatSet& stats) {
-  stats.set("sched.wake_requests", sched.wake_requests());
-  stats.set("sched.wakes_deduped", sched.wakes_deduped());
-  stats.set("sched.active_cycles", sched.active_cycles());
-}
-
-/// Sharded-domain overload: shard sums for the wake counters (each wake
-/// request lands on exactly one shard, so the sums bit-match the
-/// single-thread kernels) and the global active-cycle count.
+/// visible as timeline series via Sampler::attach().  The wake counters
+/// are shard sums (each wake request lands on exactly one shard, so the
+/// sums bit-match the single-thread kernels); active cycles are global.
 void add_sched_stats(const sim::SimDomain& dom, sim::StatSet& stats) {
   stats.set("sched.wake_requests", dom.wake_requests());
   stats.set("sched.wakes_deduped", dom.wakes_deduped());
@@ -90,7 +84,7 @@ class JacobiWorkload final : public Workload {
     cfg.seed = req.seed;
     core::MedeaSystem sys(cfg);
     if (noc::FlitObserver* o = ctx.observer()) sys.network().set_observer(o);
-    ScopedTelemetry telemetry(ctx, sys.scheduler(), sys.network().stats());
+    ScopedTelemetry telemetry(ctx, sys.domain(), sys.network().stats());
     add_memory_telemetry(telemetry, sys);
 
     apps::JacobiParams jp;
@@ -106,7 +100,7 @@ class JacobiWorkload final : public Workload {
     r.metric = res.cycles_per_iteration;
     r.metric_name = "cycles_per_iteration";
     r.stats = sys.aggregate_stats();
-    add_sched_stats(sys.scheduler(), r.stats);
+    add_sched_stats(sys.domain(), r.stats);
     r.flits_delivered = r.stats.get("noc.flits_delivered");
     r.verified_ok = !jp.verify || res.max_abs_error == 0.0;
     return r;
@@ -137,7 +131,7 @@ class ReductionWorkload final : public Workload {
     cfg.seed = req.seed;
     core::MedeaSystem sys(cfg);
     if (noc::FlitObserver* o = ctx.observer()) sys.network().set_observer(o);
-    ScopedTelemetry telemetry(ctx, sys.scheduler(), sys.network().stats());
+    ScopedTelemetry telemetry(ctx, sys.domain(), sys.network().stats());
     add_memory_telemetry(telemetry, sys);
 
     apps::ReductionParams rp;
@@ -151,7 +145,7 @@ class ReductionWorkload final : public Workload {
     r.metric = res.cycles_per_round;
     r.metric_name = "cycles_per_round";
     r.stats = sys.aggregate_stats();
-    add_sched_stats(sys.scheduler(), r.stats);
+    add_sched_stats(sys.domain(), r.stats);
     r.flits_delivered = r.stats.get("noc.flits_delivered");
     // The MP variant accumulates in rank order (exact); the SM variant's
     // order follows lock grants, so it gets the documented tolerance.
@@ -212,69 +206,62 @@ class SyntheticWorkload final : public Workload {
     tc.seed = req.seed;
 
     // Synthetic patterns drive either fabric (sp.network); stat keys and
-    // the latency accumulator just carry the fabric's prefix.
-    const noc::TorusGeometry geom(req.machine.noc_width,
-                                  req.machine.noc_height);
-    RunResult r;
-    if (sp.network == "xy") {
-      // The XY baseline shares buffered queues across the whole fabric
-      // and never shards; a kShardedCalendar config transparently runs
-      // the calendar kernel single-threaded here.
-      sim::Scheduler sched(req.machine.scheduler);
-      noc::XyNetwork net(sched, geom, sp.xy_router, sp.xy_torus_wrap);
-      run_on(sched, net, tc, req, ctx, r, "xynoc.");
-      r.cycles = sched.now();
-    } else if (sp.network == "deflection") {
-      // Row bands cap useful shards at the torus height; anything the
-      // config resolves beyond one shard runs the lockstep parallel
-      // kernel, bit-identical to the single-thread run.
-      sim::SimDomain dom(req.machine.scheduler, geom.height());
-      noc::Network net(dom, geom, req.machine.router, req.seed);
-      run_on(dom, net, tc, req, ctx, r, "noc.");
-      r.cycles = dom.now();
-    } else {
+    // the latency accumulator just carry the fabric's prefix.  Row bands
+    // cap useful deflection shards at the torus height (anything beyond
+    // one shard runs the lockstep parallel kernel, bit-identical to the
+    // single-thread run); the XY baseline always runs on one shard.
+    const bool xy = sp.network == "xy";
+    if (!xy && sp.network != "deflection") {
       throw std::invalid_argument(
           "synthetic workload: unknown network '" + sp.network +
           "' (expected \"deflection\" or \"xy\")");
     }
-    return r;
-  }
+    const noc::TorusGeometry geom(req.machine.noc_width,
+                                  req.machine.noc_height);
+    sim::SimDomain dom(req.machine.scheduler, xy ? 1 : geom.height());
+    std::unique_ptr<noc::Fabric> net;
+    if (xy) {
+      net = std::make_unique<noc::XyNetwork>(dom, geom, sp.xy_router,
+                                             sp.xy_torus_wrap);
+    } else {
+      net = std::make_unique<noc::Network>(dom, geom, req.machine.router,
+                                           req.seed);
+    }
+    const std::string prefix = xy ? "xynoc." : "noc.";
+    if (noc::FlitObserver* o = ctx.observer()) net->set_observer(o);
 
- private:
-  /// One synthetic run on fabric Net driven by Exec (a Scheduler or a
-  /// SimDomain — the run helpers, telemetry attachment and sched-stat
-  /// export all overload on it): the classic fixed-budget drain, or —
-  /// when the request asks for it — a phased warmup/measure/drain run
-  /// driven through the measurement controller (validation guarantees
-  /// ctx.measure is set whenever measurement.phased is).
-  template <typename Exec, typename Net>
-  static void run_on(Exec& exec, Net& net, const noc::TrafficConfig& tc,
-                     const RunRequest& req, RunContext& ctx, RunResult& r,
-                     const std::string& prefix) {
-    if (noc::FlitObserver* o = ctx.observer()) net.set_observer(o);
-    ScopedTelemetry telemetry(ctx, exec, net.stats());
+    ScopedTelemetry telemetry(ctx, dom, net->stats());
+    RunResult r;
     if (req.measurement.phased) {
+      // Validation guarantees ctx.measure is set whenever
+      // measurement.phased is.
       const MeasurementResult m =
-          run_phased_traffic(exec, net, tc, req.measurement, *ctx.measure);
+          run_phased_traffic(dom, *net, tc, req.measurement, *ctx.measure);
       r.metric = m.latency.mean;
       r.metric_name = "measured_avg_flit_latency";
-      r.stats = net.stats();
+      r.stats = net->stats();
       r.flits_delivered = r.stats.get(prefix + "flits_delivered");
       // A phased run is sound when every measured flit made it out.
       r.verified_ok = m.drained;
     } else {
-      const int received = noc::run_traffic(exec, net, tc);
-      r.metric = net.stats().acc(prefix + "latency").mean();
+      const auto received =
+          static_cast<std::uint64_t>(noc::run_traffic(dom, *net, tc));
+      r.metric = net->stats().acc(prefix + "latency").mean();
       r.metric_name = "avg_flit_latency";
-      r.stats = net.stats();
-      r.flits_delivered =
-          r.stats.get(prefix + "flits_delivered");
+      r.stats = net->stats();
+      r.flits_delivered = r.stats.get(prefix + "flits_delivered");
+      // A budget run is sound when every injected flit was delivered and
+      // consumed by its endpoint.
       r.verified_ok =
-          static_cast<std::uint64_t>(received) == r.flits_delivered;
+          r.flits_delivered == r.stats.get(prefix + "flits_injected") &&
+          received == r.flits_delivered;
     }
-    add_sched_stats(exec, r.stats);
+    add_sched_stats(dom, r.stats);
+    r.cycles = dom.now();
+    return r;
   }
 
+ private:
   noc::TrafficPattern pattern_;
 };
 
@@ -298,7 +285,7 @@ class AlltoallWorkload final : public Workload {
     cfg.seed = req.seed;
     core::MedeaSystem sys(cfg);
     if (noc::FlitObserver* o = ctx.observer()) sys.network().set_observer(o);
-    ScopedTelemetry telemetry(ctx, sys.scheduler(), sys.network().stats());
+    ScopedTelemetry telemetry(ctx, sys.domain(), sys.network().stats());
     add_memory_telemetry(telemetry, sys);
 
     apps::AlltoallParams aap;
@@ -311,7 +298,7 @@ class AlltoallWorkload final : public Workload {
     r.metric = res.cycles_per_round;
     r.metric_name = "cycles_per_round";
     r.stats = sys.aggregate_stats();
-    add_sched_stats(sys.scheduler(), r.stats);
+    add_sched_stats(sys.domain(), r.stats);
     r.flits_delivered = r.stats.get("noc.flits_delivered");
     // Receivers verify every word against the (src,dst,i) reference on
     // every run; req.verify only decides whether the result gates on it.
@@ -354,37 +341,31 @@ class ReplayWorkload final : public Workload {
     // Seed the NoC from the trace header, not the replay params: with
     // random_tie_break routers the recorded deflection choices depend on
     // the recorded seed, and bit-identical replay depends on matching it.
+    // The header says which fabric recorded the trace; rebuild exactly
+    // that one.  Deflection replays run on the machine's RouterConfig
+    // (for v2 traces the replayer refuses a config that differs from
+    // the recording unless rp.force_config makes it explicit) and shard
+    // like synthetic traffic; the XY fabric runs on one shard.
+    const bool xy = trace.meta.version >= 2 &&
+                    trace.meta.net.kind == TraceNetKind::kBufferedXy;
     const noc::TorusGeometry geom(trace.meta.width, trace.meta.height);
-    ReplayResult res;
-    RunResult r;
-    if (trace.meta.version >= 2 &&
-        trace.meta.net.kind == TraceNetKind::kBufferedXy) {
-      // The header says which fabric recorded the trace; rebuild exactly
-      // that one (the machine's deflection RouterConfig does not apply).
-      // The XY fabric never shards (see SyntheticWorkload).
-      sim::Scheduler sched(req.machine.scheduler);
-      noc::XyNetwork net(sched, geom, trace.meta.net.xy_router_config(),
-                         trace.meta.net.torus_wrap);
-      if (noc::FlitObserver* o = ctx.observer()) net.set_observer(o);
-      ScopedTelemetry telemetry(ctx, sched, net.stats());
-      res = run_replay(sched, net, trace, kReplayLimit, rp.force_config);
-      r.stats = net.stats();
-      add_sched_stats(sched, r.stats);
+    sim::SimDomain dom(req.machine.scheduler, xy ? 1 : geom.height());
+    std::unique_ptr<noc::Fabric> net;
+    if (xy) {
+      net = std::make_unique<noc::XyNetwork>(
+          dom, geom, trace.meta.net.xy_router_config(),
+          trace.meta.net.torus_wrap);
     } else {
-      // Deflection replay runs on the machine's RouterConfig; for v2
-      // traces the replayer refuses a config that differs from the
-      // recording unless rp.force_config makes it explicit.  Replays
-      // shard like synthetic traffic: per-node injectors/sinks live on
-      // their node's shard.
-      sim::SimDomain dom(req.machine.scheduler, geom.height());
-      noc::Network net(dom, geom, req.machine.router, trace.meta.seed);
-      if (noc::FlitObserver* o = ctx.observer()) net.set_observer(o);
-      ScopedTelemetry telemetry(ctx, dom, net.stats());
-      res = run_replay(dom, net, trace, kReplayLimit, rp.force_config);
-      r.stats = net.stats();
-      add_sched_stats(dom, r.stats);
+      net = std::make_unique<noc::Network>(dom, geom, req.machine.router,
+                                           trace.meta.seed);
     }
-
+    if (noc::FlitObserver* o = ctx.observer()) net->set_observer(o);
+    ScopedTelemetry telemetry(ctx, dom, net->stats());
+    const ReplayResult res =
+        run_replay(dom, *net, trace, kReplayLimit, rp.force_config);
+    RunResult r;
+    r.stats = net->stats();
+    add_sched_stats(dom, r.stats);
     r.cycles = res.cycles;
     r.metric = static_cast<double>(res.last_delivery_cycle);
     r.metric_name = "last_delivery_cycle";

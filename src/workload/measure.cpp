@@ -1,5 +1,9 @@
 #include "workload/measure.h"
 
+#include <cmath>
+#include <memory>
+#include <vector>
+
 namespace medea::workload {
 
 MeasurementController::MeasurementController(const MeasurementParams& params,
@@ -81,6 +85,70 @@ MeasurementResult MeasurementController::result() const {
                          : static_cast<double>(injected_) / nodes / window;
   }
   return r;
+}
+
+MeasurementResult run_phased_traffic(sim::SimDomain& dom, noc::Fabric& net,
+                                     const noc::TrafficConfig& cfg,
+                                     const MeasurementParams& mp,
+                                     MeasurementController& mc) {
+  noc::TrafficConfig unlimited = cfg;
+  unlimited.flits_per_node = -1;
+  std::vector<std::unique_ptr<noc::TrafficEndpoint<noc::Fabric>>> eps;
+  eps.reserve(static_cast<std::size_t>(net.num_nodes()));
+  for (int i = 0; i < net.num_nodes(); ++i) {
+    eps.push_back(std::make_unique<noc::TrafficEndpoint<noc::Fabric>>(
+        net.sched_of(i), net, i, unlimited));
+  }
+  const auto total_attempts = [&eps] {
+    std::uint64_t n = 0;
+    for (const auto& e : eps) n += e->attempts();
+    return n;
+  };
+
+  // Warmup: fixed-length, or stepped with steady-state detection (two
+  // consecutive probe windows whose mean latency moved less than the
+  // tolerance).  Endpoints self-wake every cycle, so run(t) always
+  // advances exactly to t.
+  sim::Cycle warmup_end = 0;
+  if (mp.auto_warmup) {
+    double prev = std::nan("");
+    int stable = 0;
+    while (warmup_end < mp.max_warmup && stable < 2) {
+      warmup_end += mp.warmup_step;
+      dom.run(warmup_end);
+      const double m = mc.probe_mean();
+      mc.reset_probe();
+      if (!std::isnan(prev) && !std::isnan(m) &&
+          std::fabs(m - prev) <= mp.steady_tolerance * prev) {
+        ++stable;
+      } else {
+        stable = 0;
+      }
+      prev = m;
+    }
+  } else {
+    warmup_end = mp.warmup_cycles;
+    dom.run(warmup_end);
+  }
+
+  // Measurement window.
+  const std::uint64_t attempts_before = total_attempts();
+  mc.begin_window(warmup_end);
+  const sim::Cycle measure_end = warmup_end + mp.measure_cycles;
+  dom.run(measure_end);
+  mc.end_window(measure_end);
+  const std::uint64_t attempts_in_window = total_attempts() - attempts_before;
+  mc.set_offered_load(static_cast<double>(attempts_in_window) /
+                      static_cast<double>(net.num_nodes()) /
+                      static_cast<double>(mp.measure_cycles));
+
+  // Drain: stop offering, let the fabric empty.  run() returns true on
+  // idle (every flit — measured or not — ejected and consumed).
+  for (auto& e : eps) e->stop_injecting();
+  const bool idle = dom.run(measure_end + mp.drain_limit);
+  net.refresh_stats();
+  mc.finalize(dom.now(), idle && mc.in_flight() == 0);
+  return mc.result();
 }
 
 }  // namespace medea::workload

@@ -1,15 +1,11 @@
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
+#include "noc/fabric.h"
 #include "noc/flit.h"
 #include "noc/traffic.h"
 #include "sim/domain.h"
-#include "sim/scheduler.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -175,136 +171,16 @@ class MeasurementController final : public noc::FlitObserver {
 };
 
 /// Drive one phased (warmup -> measure -> drain) synthetic-traffic run
-/// on fabric N (Network or XyNetwork).  Endpoints run with unlimited
-/// budget; `mc` must be the observer already attached to `net`.
-/// Returns the finalized result (also available via mc.result()).
-template <typename N>
-MeasurementResult run_phased_traffic(sim::Scheduler& sched, N& net,
+/// on `net`.  Endpoints run with unlimited budget, each on its node's
+/// shard; `mc` must be the observer already attached to `net`.  On a
+/// sharded domain observer events reach `mc` from the serial flush in
+/// canonical order, and every flush owed for a phase has happened by
+/// the time SimDomain::run() returns, so window boundaries land on
+/// exactly the flits they do single-threaded.  Returns the finalized
+/// result (also available via mc.result()).
+MeasurementResult run_phased_traffic(sim::SimDomain& dom, noc::Fabric& net,
                                      const noc::TrafficConfig& cfg,
                                      const MeasurementParams& mp,
-                                     MeasurementController& mc) {
-  noc::TrafficConfig unlimited = cfg;
-  unlimited.flits_per_node = -1;
-  std::vector<std::unique_ptr<noc::TrafficEndpoint<N>>> eps;
-  eps.reserve(static_cast<std::size_t>(net.num_nodes()));
-  for (int i = 0; i < net.num_nodes(); ++i) {
-    eps.push_back(
-        std::make_unique<noc::TrafficEndpoint<N>>(sched, net, i, unlimited));
-  }
-  const auto total_attempts = [&eps] {
-    std::uint64_t n = 0;
-    for (const auto& e : eps) n += e->attempts();
-    return n;
-  };
-
-  // Warmup: fixed-length, or stepped with steady-state detection (two
-  // consecutive probe windows whose mean latency moved less than the
-  // tolerance).  Endpoints self-wake every cycle, so run(t) always
-  // advances exactly to t.
-  sim::Cycle warmup_end = 0;
-  if (mp.auto_warmup) {
-    double prev = std::nan("");
-    int stable = 0;
-    while (warmup_end < mp.max_warmup && stable < 2) {
-      warmup_end += mp.warmup_step;
-      sched.run(warmup_end);
-      const double m = mc.probe_mean();
-      mc.reset_probe();
-      if (!std::isnan(prev) && !std::isnan(m) &&
-          std::fabs(m - prev) <= mp.steady_tolerance * prev) {
-        ++stable;
-      } else {
-        stable = 0;
-      }
-      prev = m;
-    }
-  } else {
-    warmup_end = mp.warmup_cycles;
-    sched.run(warmup_end);
-  }
-
-  // Measurement window.
-  const std::uint64_t attempts_before = total_attempts();
-  mc.begin_window(warmup_end);
-  const sim::Cycle measure_end = warmup_end + mp.measure_cycles;
-  sched.run(measure_end);
-  mc.end_window(measure_end);
-  const std::uint64_t attempts_in_window = total_attempts() - attempts_before;
-  mc.set_offered_load(static_cast<double>(attempts_in_window) /
-                      static_cast<double>(net.num_nodes()) /
-                      static_cast<double>(mp.measure_cycles));
-
-  // Drain: stop offering, let the fabric empty.  run() returns true on
-  // idle (every flit — measured or not — ejected and consumed).
-  for (auto& e : eps) e->stop_injecting();
-  const bool idle = sched.run(measure_end + mp.drain_limit);
-  mc.finalize(sched.now(), idle && mc.in_flight() == 0);
-  return mc.result();
-}
-
-/// Sharded variant of the phased driver: endpoints are constructed on
-/// their node's shard scheduler and the SimDomain runs each phase.
-/// Observer events reach `mc` from the domain's serial flush in
-/// canonical order, and every flush owed for a phase has happened by the
-/// time run() returns, so window boundaries land on exactly the flits
-/// they do single-threaded — the phased path is bit-identical too.
-template <typename N>
-MeasurementResult run_phased_traffic(sim::SimDomain& dom, N& net,
-                                     const noc::TrafficConfig& cfg,
-                                     const MeasurementParams& mp,
-                                     MeasurementController& mc) {
-  noc::TrafficConfig unlimited = cfg;
-  unlimited.flits_per_node = -1;
-  std::vector<std::unique_ptr<noc::TrafficEndpoint<N>>> eps;
-  eps.reserve(static_cast<std::size_t>(net.num_nodes()));
-  for (int i = 0; i < net.num_nodes(); ++i) {
-    eps.push_back(std::make_unique<noc::TrafficEndpoint<N>>(net.sched_of(i),
-                                                            net, i,
-                                                            unlimited));
-  }
-  const auto total_attempts = [&eps] {
-    std::uint64_t n = 0;
-    for (const auto& e : eps) n += e->attempts();
-    return n;
-  };
-
-  sim::Cycle warmup_end = 0;
-  if (mp.auto_warmup) {
-    double prev = std::nan("");
-    int stable = 0;
-    while (warmup_end < mp.max_warmup && stable < 2) {
-      warmup_end += mp.warmup_step;
-      dom.run(warmup_end);
-      const double m = mc.probe_mean();
-      mc.reset_probe();
-      if (!std::isnan(prev) && !std::isnan(m) &&
-          std::fabs(m - prev) <= mp.steady_tolerance * prev) {
-        ++stable;
-      } else {
-        stable = 0;
-      }
-      prev = m;
-    }
-  } else {
-    warmup_end = mp.warmup_cycles;
-    dom.run(warmup_end);
-  }
-
-  const std::uint64_t attempts_before = total_attempts();
-  mc.begin_window(warmup_end);
-  const sim::Cycle measure_end = warmup_end + mp.measure_cycles;
-  dom.run(measure_end);
-  mc.end_window(measure_end);
-  const std::uint64_t attempts_in_window = total_attempts() - attempts_before;
-  mc.set_offered_load(static_cast<double>(attempts_in_window) /
-                      static_cast<double>(net.num_nodes()) /
-                      static_cast<double>(mp.measure_cycles));
-
-  for (auto& e : eps) e->stop_injecting();
-  const bool idle = dom.run(measure_end + mp.drain_limit);
-  net.refresh_stats();
-  mc.finalize(dom.now(), idle && mc.in_flight() == 0);
-  return mc.result();
-}
+                                     MeasurementController& mc);
 
 }  // namespace medea::workload

@@ -158,8 +158,7 @@ TraceMeta load_trace_meta(const std::string& path);
 void validate_trace(const Trace& t);
 
 /// Captures injection events from a live NoC (attach with
-/// Network::set_observer or XyNetwork::set_observer before the run,
-/// take() afterwards).
+/// noc::Fabric::set_observer before the run, take() afterwards).
 class TraceRecorder final : public noc::FlitObserver {
  public:
   TraceRecorder(int width, int height);

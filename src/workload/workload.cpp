@@ -95,6 +95,28 @@ void validate_request(const RunRequest& req, const Workload& w) {
         "replay workload: replay.trace_path must name a recorded trace");
   }
   const MeasurementParams& m = req.measurement;
+  if (k == WorkloadKind::kSynthetic) {
+    const SyntheticParams sp = req.synthetic.value_or(SyntheticParams{});
+    const int nodes = req.machine.noc_width * req.machine.noc_height;
+    if (sp.hotspot_node < 0 || sp.hotspot_node >= nodes) {
+      throw std::invalid_argument(
+          "synthetic.hotspot_node " + std::to_string(sp.hotspot_node) +
+          " is not a node of the " + std::to_string(nodes) + "-node torus");
+    }
+    // A budget run ends when every endpoint has spent its budget; these
+    // two never would (an unlimited budget, or a rate that never offers).
+    if (!m.phased && sp.flits_per_node <= 0) {
+      throw std::invalid_argument(
+          "synthetic.flits_per_node must be > 0 for a budget run (got " +
+          std::to_string(sp.flits_per_node) +
+          "); unlimited injection needs measurement.phased");
+    }
+    if (!m.phased && sp.injection_rate == 0.0) {
+      throw std::invalid_argument(
+          "synthetic.injection_rate must be > 0 for a budget run: a zero "
+          "rate never spends the flit budget");
+    }
+  }
   if (m.phased && k != WorkloadKind::kSynthetic) {
     throw std::invalid_argument(
         "measurement.phased drives rate-controlled synthetic traffic, but "

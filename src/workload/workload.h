@@ -194,20 +194,11 @@ struct RunContext {
   }
 
   /// Registers the stats with the sampler and hooks it into the
-  /// scheduler (which also adds the sched.* pressure series).  No-op —
-  /// and free — when the request did not ask for sampling.  Prefer
-  /// ScopedTelemetry below: the sampler outlives the workload's
-  /// scheduler and fabric, so something must capture the final window
-  /// and detach *before* they are destroyed.
-  void attach_telemetry(sim::Scheduler& sched,
-                        const sim::StatSet& stats) const {
-    if (sampler == nullptr) return;
-    sampler->add_stats("", stats);
-    sampler->attach(sched);
-  }
-
-  /// Sharded-domain overload: the sampler hooks into the domain's serial
-  /// phase and sums the sched.* series across shards.
+  /// domain's cycle loop (which also adds the sched.* pressure series,
+  /// summed across shards).  No-op — and free — when the request did
+  /// not ask for sampling.  Prefer ScopedTelemetry below: the sampler
+  /// outlives the workload's domain and fabric, so something must
+  /// capture the final window and detach *before* they are destroyed.
   void attach_telemetry(sim::SimDomain& dom, const sim::StatSet& stats) const {
     if (sampler == nullptr) return;
     sampler->add_stats("", stats);
@@ -217,30 +208,23 @@ struct RunContext {
 
 /// RAII telemetry attachment for workload implementations: attaches the
 /// run's sampler (if any) on construction and, when it leaves scope,
-/// captures the final partial window and detaches — while the scheduler
-/// and StatSet it samples are still alive.  Declare one *after* the
-/// fabric whose stats it registers and before running:
+/// captures the final partial window at the domain's clock and
+/// detaches — while the domain and StatSet it samples are still alive.
+/// Declare one *after* the fabric whose stats it registers and before
+/// running:
 ///
-///   noc::Network net(sched, ...);
-///   ScopedTelemetry telemetry(ctx, sched, net.stats());
+///   noc::Network net(dom, ...);
+///   ScopedTelemetry telemetry(ctx, dom, net.stats());
 ///   ... run ...
 class ScopedTelemetry {
  public:
-  ScopedTelemetry(const RunContext& ctx, sim::Scheduler& sched,
-                  const sim::StatSet& stats)
-      : sampler_(ctx.sampler), sched_(&sched) {
-    ctx.attach_telemetry(sched, stats);
-  }
-  /// Sharded-domain variant: finishes at the domain's global clock.
   ScopedTelemetry(const RunContext& ctx, sim::SimDomain& dom,
                   const sim::StatSet& stats)
-      : sampler_(ctx.sampler), dom_(&dom) {
+      : sampler_(ctx.sampler), dom_(dom) {
     ctx.attach_telemetry(dom, stats);
   }
   ~ScopedTelemetry() {
-    if (sampler_ != nullptr) {
-      sampler_->finish(dom_ != nullptr ? dom_->now() : sched_->now());
-    }
+    if (sampler_ != nullptr) sampler_->finish(dom_.now());
   }
 
   /// Register a further StatSet under `prefix` (e.g. the MPMMU's and the
@@ -255,8 +239,7 @@ class ScopedTelemetry {
 
  private:
   telemetry::Sampler* sampler_;
-  sim::Scheduler* sched_ = nullptr;
-  sim::SimDomain* dom_ = nullptr;
+  sim::SimDomain& dom_;
 };
 
 /// One runnable scenario.  run() builds a fresh simulator every call

@@ -96,8 +96,9 @@ class BridgeHarness : public sim::Component {
 };
 
 struct Fx {
-  Fx() : net(sched, noc::TorusGeometry(4, 4)), h(sched, net, 5, 0) {}
-  sim::Scheduler sched;
+  Fx() : net(dom, noc::TorusGeometry(4, 4)), h(sched, net, 5, 0) {}
+  sim::SimDomain dom{sim::SchedulerConfig{}};
+  sim::Scheduler& sched = dom.shard(0);
   noc::Network net;
   BridgeHarness h;
 };

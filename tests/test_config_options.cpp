@@ -20,34 +20,34 @@ namespace {
 
 TEST(RouterConfig, RandomTieBreakIsSeedDeterministic) {
   auto run_with = [](std::uint64_t seed) {
-    sim::Scheduler sched;
+    sim::SimDomain dom(sim::SchedulerConfig{});
     noc::RouterConfig rc;
     rc.random_tie_break = true;
-    noc::Network net(sched, noc::TorusGeometry(4, 4), rc, seed);
+    noc::Network net(dom, noc::TorusGeometry(4, 4), rc, seed);
     noc::TrafficConfig tc;
     tc.pattern = noc::TrafficPattern::kHotspot;
     tc.injection_rate = 0.6;
     tc.flits_per_node = 150;
     tc.seed = 5;
-    noc::run_traffic(sched, net, tc);
+    noc::run_traffic(dom, net, tc);
     return std::pair<sim::Cycle, std::uint64_t>(
-        sched.now(), net.stats().get("noc.deflections_total"));
+        dom.now(), net.stats().get("noc.deflections_total"));
   };
   EXPECT_EQ(run_with(7), run_with(7)) << "same seed, same simulation";
 }
 
 TEST(RouterConfig, WiderEjectPortReducesHotspotLatency) {
   auto mean_latency = [](int eject_per_cycle) {
-    sim::Scheduler sched;
+    sim::SimDomain dom(sim::SchedulerConfig{});
     noc::RouterConfig rc;
     rc.eject_per_cycle = eject_per_cycle;
-    noc::Network net(sched, noc::TorusGeometry(4, 4), rc);
+    noc::Network net(dom, noc::TorusGeometry(4, 4), rc);
     noc::TrafficConfig tc;
     tc.pattern = noc::TrafficPattern::kHotspot;
     tc.injection_rate = 0.5;
     tc.flits_per_node = 200;
     tc.hotspot_node = 5;
-    noc::run_traffic(sched, net, tc);
+    noc::run_traffic(dom, net, tc);
     return net.stats().acc("noc.latency").mean();
   };
   EXPECT_LT(mean_latency(2), mean_latency(1))
@@ -57,8 +57,8 @@ TEST(RouterConfig, WiderEjectPortReducesHotspotLatency) {
 TEST(RouterConfig, DeeperInjectQueueAcceptsBurstsSooner) {
   noc::RouterConfig rc;
   rc.inject_queue_depth = 8;
-  sim::Scheduler sched;
-  noc::Network net(sched, noc::TorusGeometry(4, 4), rc);
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  noc::Network net(dom, noc::TorusGeometry(4, 4), rc);
   auto& inj = net.inject(0);
   int pushed = 0;
   while (inj.can_push()) {

@@ -71,7 +71,7 @@ class RawClient : public sim::Component {
 
 struct Fixture {
   explicit Fixture(MpmmuConfig cfg = {})
-      : net(sched, noc::TorusGeometry(4, 4)),
+      : net(dom, noc::TorusGeometry(4, 4)),
         mpmmu(sched, net, /*node=*/0, /*cores=*/4, cfg, store) {
     for (int n = 1; n <= 4; ++n) {
       clients.push_back(std::make_unique<RawClient>(sched, net, n));
@@ -79,7 +79,8 @@ struct Fixture {
   }
   noc::Coord mpmmu_coord() { return net.geometry().coord_of(0); }
 
-  sim::Scheduler sched;
+  sim::SimDomain dom{sim::SchedulerConfig{}};
+  sim::Scheduler& sched = dom.shard(0);
   mem::BackingStore store;
   noc::Network net;
   Mpmmu mpmmu;

@@ -4,11 +4,15 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "noc/coord.h"
 #include "noc/flit.h"
 #include "noc/network.h"
+#include "noc/traffic.h"
+#include "noc/xy_network.h"
+#include "sim/domain.h"
 #include "sim/scheduler.h"
 
 namespace medea::noc {
@@ -218,12 +222,13 @@ class NodeHarness : public sim::Component {
 
 struct NetFixture {
   explicit NetFixture(int w = 4, int h = 4)
-      : net(sched, TorusGeometry(w, h)) {
+      : net(dom, TorusGeometry(w, h)) {
     for (int i = 0; i < net.num_nodes(); ++i) {
       nodes.push_back(std::make_unique<NodeHarness>(sched, net, i));
     }
   }
-  sim::Scheduler sched;
+  sim::SimDomain dom{sim::SchedulerConfig{}};
+  sim::Scheduler& sched = dom.shard(0);
   Network net;
   std::vector<std::unique_ptr<NodeHarness>> nodes;
 };
@@ -349,8 +354,9 @@ TEST(Network, SaturationExercisesDeflectionPortScan) {
   for (bool random_tie : {false, true}) {
     RouterConfig cfg;
     cfg.random_tie_break = random_tie;
-    sim::Scheduler sched;
-    Network net(sched, TorusGeometry(4, 4), cfg, 7);
+    sim::SimDomain dom(sim::SchedulerConfig{});
+    sim::Scheduler& sched = dom.shard(0);
+    Network net(dom, TorusGeometry(4, 4), cfg, 7);
     std::vector<std::unique_ptr<NodeHarness>> nodes;
     for (int i = 0; i < net.num_nodes(); ++i) {
       nodes.push_back(std::make_unique<NodeHarness>(sched, net, i));
@@ -388,6 +394,62 @@ TEST(Network, LatencyStatisticsPopulated) {
   EXPECT_GE(lat.min(), 1.0);
   const auto& hops = fx.net.stats().acc("noc.hops");
   EXPECT_GE(hops.min(), 2.0);  // (0,0)->(3,3) minimal distance 2 (wrap)
+}
+
+// ---------------------------------------------------------------------
+// Fabric invariants (checked in every build type, not by assert)
+// ---------------------------------------------------------------------
+
+TEST(FabricInvariants, RejectsAxisBeyondCoordRange) {
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  // Coord is 8-bit: a 300-wide torus would alias x = 300 onto x = 44.
+  EXPECT_THROW(Network(dom, TorusGeometry(300, 1)), std::invalid_argument);
+  EXPECT_THROW(XyNetwork(dom, TorusGeometry(1, 257)), std::invalid_argument);
+  EXPECT_NO_THROW(Network(dom, TorusGeometry(256, 1)));
+}
+
+TEST(FabricInvariants, RejectsEmptyAxis) {
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  EXPECT_THROW(Network(dom, TorusGeometry(0, 4)), std::invalid_argument);
+  EXPECT_THROW(XyNetwork(dom, TorusGeometry(4, -1)), std::invalid_argument);
+}
+
+TEST(FabricInvariants, RejectsMoreNodesThanUidNodeBits) {
+  // kFlitUidSeqBits = 20 leaves 12 node bits: 4096 nodes at most.
+  ASSERT_EQ(kMaxFlitUidNodes, 4096);
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  EXPECT_THROW(Network(dom, TorusGeometry(128, 64)), std::invalid_argument);
+  EXPECT_NO_THROW(Network(dom, TorusGeometry(64, 64)));
+}
+
+TEST(FabricInvariants, NodeUidExhaustionThrows) {
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  Network net(dom, TorusGeometry(2, 2));
+  const std::uint32_t node = 1u << kFlitUidSeqBits;
+  EXPECT_EQ(net.node_flit_uid(1), node | 1u);
+  for (std::uint32_t seq = 2; seq < (1u << kFlitUidSeqBits); ++seq) {
+    ASSERT_EQ(net.node_flit_uid(1), node | seq);
+  }
+  // The next uid would be node 2's first: refuse instead of aliasing.
+  EXPECT_THROW(net.node_flit_uid(1), std::overflow_error);
+  EXPECT_EQ(net.node_flit_uid(2), (2u << kFlitUidSeqBits) | 1u);
+}
+
+TEST(FabricInvariants, XyFabricRejectsShardedDomain) {
+  sim::SchedulerConfig cfg;
+  cfg.queue = sim::SchedulerConfig::EventQueue::kShardedCalendar;
+  cfg.num_shards = 2;
+  sim::SimDomain dom(cfg, 4);
+  ASSERT_TRUE(dom.sharded());
+  EXPECT_THROW(XyNetwork(dom, TorusGeometry(4, 4)), std::invalid_argument);
+}
+
+TEST(FabricInvariants, RunTrafficThatCannotDrainThrows) {
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  Network net(dom, TorusGeometry(4, 4));
+  TrafficConfig tc;
+  tc.flits_per_node = 100;
+  EXPECT_THROW(run_traffic(dom, net, tc, /*limit=*/20), std::runtime_error);
 }
 
 }  // namespace

@@ -19,8 +19,9 @@ namespace {
 struct XyFixture {
   explicit XyFixture(int w = 4, int h = 4, bool wrap = false,
                      XyRouterConfig cfg = {})
-      : net(sched, TorusGeometry(w, h), cfg, wrap) {}
-  sim::Scheduler sched;
+      : net(dom, TorusGeometry(w, h), cfg, wrap) {}
+  sim::SimDomain dom{sim::SchedulerConfig{}};
+  sim::Scheduler& sched = dom.shard(0);
   XyNetwork net;
 };
 
@@ -121,7 +122,7 @@ TEST(XyRouter, BuffersBoundedByConfig) {
   tc.injection_rate = 0.9;
   tc.flits_per_node = 100;
   tc.hotspot_node = 5;
-  const int total = run_traffic(fx.sched, fx.net, tc);
+  const int total = run_traffic(fx.dom, fx.net, tc);
   EXPECT_GT(total, 0);
   // Peak occupancy per router <= 5 buffers x depth.
   EXPECT_LE(fx.net.stats().get("xynoc.peak_buffered"),
@@ -160,18 +161,18 @@ TEST(Traffic, AllPatternsDrainOnBothFabrics) {
     tc.flits_per_node = 100;
     tc.hotspot_node = 3;
     {
-      sim::Scheduler sched;
-      Network net(sched, TorusGeometry(4, 4));
-      const int got = run_traffic(sched, net, tc);
+      sim::SimDomain dom(sim::SchedulerConfig{});
+      Network net(dom, TorusGeometry(4, 4));
+      const int got = run_traffic(dom, net, tc);
       EXPECT_EQ(static_cast<std::uint64_t>(got),
                 net.stats().get("noc.flits_delivered"))
           << to_string(p);
       EXPECT_GT(got, 0);
     }
     {
-      sim::Scheduler sched;
-      XyNetwork net(sched, TorusGeometry(4, 4));
-      const int got = run_traffic(sched, net, tc);
+      sim::SimDomain dom(sim::SchedulerConfig{});
+      XyNetwork net(dom, TorusGeometry(4, 4));
+      const int got = run_traffic(dom, net, tc);
       EXPECT_GT(got, 0) << to_string(p);
       EXPECT_EQ(net.total_buffered(), 0u);
     }
@@ -180,14 +181,14 @@ TEST(Traffic, AllPatternsDrainOnBothFabrics) {
 
 TEST(Traffic, DeterministicForSeed) {
   auto run_once = [] {
-    sim::Scheduler sched;
-    Network net(sched, TorusGeometry(4, 4));
+    sim::SimDomain dom(sim::SchedulerConfig{});
+    Network net(dom, TorusGeometry(4, 4));
     TrafficConfig tc;
     tc.injection_rate = 0.4;
     tc.flits_per_node = 200;
     tc.seed = 42;
-    run_traffic(sched, net, tc);
-    return sched.now();
+    run_traffic(dom, net, tc);
+    return dom.now();
   };
   EXPECT_EQ(run_once(), run_once());
 }
@@ -201,12 +202,12 @@ TEST(RouterComparison, BothDeliverIdenticalFlitCounts) {
   tc.injection_rate = 0.25;
   tc.flits_per_node = 150;
   tc.seed = 11;
-  sim::Scheduler s1;
-  Network defl(s1, TorusGeometry(4, 4));
-  const int got_defl = run_traffic(s1, defl, tc);
-  sim::Scheduler s2;
-  XyNetwork xy(s2, TorusGeometry(4, 4));
-  const int got_xy = run_traffic(s2, xy, tc);
+  sim::SimDomain d1(sim::SchedulerConfig{});
+  Network defl(d1, TorusGeometry(4, 4));
+  const int got_defl = run_traffic(d1, defl, tc);
+  sim::SimDomain d2(sim::SchedulerConfig{});
+  XyNetwork xy(d2, TorusGeometry(4, 4));
+  const int got_xy = run_traffic(d2, xy, tc);
   EXPECT_EQ(got_defl, got_xy);
 }
 
@@ -216,9 +217,9 @@ TEST(RouterComparison, DeflectionStoresNothingXyBuffers) {
   tc.injection_rate = 0.8;
   tc.flits_per_node = 200;
   tc.hotspot_node = 0;
-  sim::Scheduler s2;
-  XyNetwork xy(s2, TorusGeometry(4, 4));
-  run_traffic(s2, xy, tc);
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  XyNetwork xy(dom, TorusGeometry(4, 4));
+  run_traffic(dom, xy, tc);
   // The buffered router really uses its buffers under a hotspot — the
   // storage cost the paper's deflection design eliminates.
   EXPECT_GT(xy.stats().get("xynoc.peak_buffered"), 4u);
@@ -230,9 +231,9 @@ TEST(RouterComparison, DeflectionDeflectsUnderHotspot) {
   tc.injection_rate = 0.8;
   tc.flits_per_node = 200;
   tc.hotspot_node = 0;
-  sim::Scheduler s1;
-  Network defl(s1, TorusGeometry(4, 4));
-  run_traffic(s1, defl, tc);
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  Network defl(dom, TorusGeometry(4, 4));
+  run_traffic(dom, defl, tc);
   EXPECT_GT(defl.stats().get("noc.deflections_total"), 100u);
 }
 

@@ -131,8 +131,9 @@ TEST(Arbiter, DualFifoAcceptsBothInterfacesSameCycle) {
 // ---------------------------------------------------------------------
 
 struct TieFixture {
-  TieFixture() : net(sched, noc::TorusGeometry(4, 4)), tie(net, 1, stats) {}
-  sim::Scheduler sched;
+  TieFixture() : net(dom, noc::TorusGeometry(4, 4)), tie(net, 1, stats) {}
+  sim::SimDomain dom{sim::SchedulerConfig{}};
+  sim::Scheduler& sched = dom.shard(0);
   sim::StatSet stats;
   noc::Network net;
   TieInterface tie;

@@ -395,12 +395,12 @@ TEST(ShardedDiff, BoundaryCycleInjectionMatchesSingleThread) {
     sim::StatSet stats;
   };
   const auto run_single = [&] {
-    sim::Scheduler sched(calendar_cfg());
-    noc::Network net(sched, geom, {}, 1);
+    sim::SimDomain dom(calendar_cfg(), geom.height());
+    noc::Network net(dom, geom, {}, 1);
     DeliveryLog log;
     net.set_observer(&log);
     Outcome o;
-    o.res = workload::run_replay(sched, net, trace);
+    o.res = workload::run_replay(dom, net, trace);
     o.log = std::move(log.v);
     o.stats = net.stats();
     return o;

@@ -150,8 +150,8 @@ TEST(TraceCodec, LoadMissingFileThrows) {
 // ---------------------------------------------------------------------
 
 TEST(TraceRecorderTest, CapturesSyntheticInjections) {
-  sim::Scheduler sched;
-  noc::Network net(sched, noc::TorusGeometry(4, 4));
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  noc::Network net(dom, noc::TorusGeometry(4, 4));
   TraceRecorder rec(4, 4);
   net.set_observer(&rec);
 
@@ -159,9 +159,9 @@ TEST(TraceRecorderTest, CapturesSyntheticInjections) {
   tc.pattern = noc::TrafficPattern::kNeighbor;
   tc.flits_per_node = 20;
   tc.injection_rate = 0.5;
-  const int received = noc::run_traffic(sched, net, tc);
+  const int received = noc::run_traffic(dom, net, tc);
 
-  const Trace t = rec.take(sched.now(), "neighbor", tc.seed);
+  const Trace t = rec.take(dom.now(), "neighbor", tc.seed);
   // One event per injected flit; everything injected gets delivered.
   EXPECT_EQ(rec.events().size(), 0u);  // moved out by take()
   EXPECT_EQ(t.events.size(), static_cast<std::size_t>(received));

@@ -57,17 +57,16 @@ Trace record_jacobi() {
 /// Replay `t` on the fabric its header describes and require a clean
 /// replay: every event injected and delivered.
 ReplayResult replay_cleanly(const Trace& t) {
-  sim::Scheduler sched;
+  sim::SimDomain dom(sim::SchedulerConfig{});
   ReplayResult r;
   if (t.meta.net.kind == TraceNetKind::kBufferedXy) {
-    noc::XyNetwork net(sched,
-                       noc::TorusGeometry(t.meta.width, t.meta.height),
+    noc::XyNetwork net(dom, noc::TorusGeometry(t.meta.width, t.meta.height),
                        t.meta.net.xy_router_config(), t.meta.net.torus_wrap);
-    r = run_replay(sched, net, t);
+    r = run_replay(dom, net, t);
   } else {
-    noc::Network net(sched, noc::TorusGeometry(t.meta.width, t.meta.height),
+    noc::Network net(dom, noc::TorusGeometry(t.meta.width, t.meta.height),
                      t.meta.net.router_config(), t.meta.seed);
-    r = run_replay(sched, net, t);
+    r = run_replay(dom, net, t);
   }
   EXPECT_EQ(r.flits_injected, t.events.size());
   EXPECT_EQ(r.flits_delivered, t.events.size());
@@ -197,9 +196,9 @@ TEST(TraceV2, V1TraceSkipsTheConfigCheck) {
   // A config the recording knows nothing about: no refusal for v1.
   noc::RouterConfig rc;
   rc.eject_per_cycle = 2;
-  sim::Scheduler sched;
-  noc::Network net(sched, noc::TorusGeometry(4, 4), rc, t.meta.seed);
-  const ReplayResult r = run_replay(sched, net, t);
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  noc::Network net(dom, noc::TorusGeometry(4, 4), rc, t.meta.seed);
+  const ReplayResult r = run_replay(dom, net, t);
   EXPECT_EQ(r.flits_delivered, t.events.size());
 }
 
@@ -269,11 +268,11 @@ TEST(ReplayConfigCheck, MismatchedRouterConfigThrows) {
   const Trace t = record_workload("uniform", tiny_synth());
   noc::RouterConfig other;
   other.eject_per_cycle = 2;  // recorded with 1
-  sim::Scheduler sched;
-  noc::Network net(sched, noc::TorusGeometry(4, 4), other, t.meta.seed);
-  EXPECT_THROW(TraceReplayer(sched, net, t), std::runtime_error);
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  noc::Network net(dom, noc::TorusGeometry(4, 4), other, t.meta.seed);
+  EXPECT_THROW(TraceReplayer rep(net, t), std::runtime_error);
   // Explicit override replays anyway (a what-if study).
-  const ReplayResult r = run_replay(sched, net, t, 50'000'000,
+  const ReplayResult r = run_replay(dom, net, t, 50'000'000,
                                     /*allow_config_mismatch=*/true);
   EXPECT_EQ(r.flits_delivered, t.events.size());
 }
@@ -284,9 +283,9 @@ TEST(ReplayConfigCheck, KindMismatchThrows) {
   req.synthetic->network = "xy";
   const Trace t = record_workload("neighbor", req);
   ASSERT_EQ(t.meta.net.kind, TraceNetKind::kBufferedXy);
-  sim::Scheduler sched;
-  noc::Network net(sched, noc::TorusGeometry(4, 4));
-  EXPECT_THROW(TraceReplayer(sched, net, t), std::runtime_error);
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  noc::Network net(dom, noc::TorusGeometry(4, 4));
+  EXPECT_THROW(TraceReplayer rep(net, t), std::runtime_error);
 }
 
 TEST(ReplayConfigCheck, RegistryReplayRefusesThenForces) {
@@ -610,12 +609,12 @@ TEST(XyReplay, RecordingsReplayBitIdentically) {
 
   // Replay twice on fabrics rebuilt from the header.
   auto replay_once = [&](DeliveryLog& log) {
-    sim::Scheduler sched;
-    noc::XyNetwork net(sched, noc::TorusGeometry(4, 4),
+    sim::SimDomain dom(sim::SchedulerConfig{});
+    noc::XyNetwork net(dom, noc::TorusGeometry(4, 4),
                        trace.meta.net.xy_router_config(),
                        trace.meta.net.torus_wrap);
     net.set_observer(&log);
-    return run_replay(sched, net, trace);
+    return run_replay(dom, net, trace);
   };
   DeliveryLog log1, log2;
   const ReplayResult r1 = replay_once(log1);

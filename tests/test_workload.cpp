@@ -272,6 +272,32 @@ TEST(RunApi, ValidationErrorsNameTheProblem) {
   }
 }
 
+TEST(RunApi, BudgetRunsThatCannotDrainThrow) {
+  // A non-positive budget never self-terminates outside a phased run,
+  // and neither does a budget offered at rate 0.
+  for (int flits : {0, -5}) {
+    RunRequest req = tiny_synth();
+    req.synthetic->flits_per_node = flits;
+    EXPECT_THROW(run_by_name("uniform", req), std::invalid_argument) << flits;
+  }
+  RunRequest req = tiny_synth();
+  req.synthetic->injection_rate = 0.0;
+  EXPECT_THROW(run_by_name("uniform", req), std::invalid_argument);
+  // Phased runs ignore the budget and drive the rate themselves.
+  req.synthetic->flits_per_node = -1;
+  req.synthetic->injection_rate = 0.1;
+  req.measurement.phased = true;
+  req.measurement.warmup_cycles = 50;
+  req.measurement.measure_cycles = 100;
+  EXPECT_TRUE(run_by_name("uniform", req).verified_ok);
+}
+
+TEST(RunApi, HotspotOutsideTheTorusThrows) {
+  RunRequest req = tiny_synth();
+  req.synthetic->hotspot_node = 16;  // 4x4: nodes 0..15
+  EXPECT_THROW(run_by_name("hotspot", req), std::invalid_argument);
+}
+
 TEST(RunApi, CollectOffLeavesMeasurementEmpty) {
   RunRequest req = tiny_synth();
   req.measurement.collect = false;
@@ -313,12 +339,12 @@ void check_record_replay(const std::string& name,
 
   // Replay twice onto bare NoCs.
   auto replay_once = [&](DeliveryLog& log) {
-    sim::Scheduler sched;
-    noc::Network net(sched,
+    sim::SimDomain dom(sim::SchedulerConfig{});
+    noc::Network net(dom,
                      noc::TorusGeometry(trace.meta.width, trace.meta.height),
                      req.machine.router, trace.meta.seed);
     net.set_observer(&log);
-    return run_replay(sched, net, trace);
+    return run_replay(dom, net, trace);
   };
   DeliveryLog log1, log2;
   const ReplayResult r1 = replay_once(log1);
@@ -448,9 +474,9 @@ TEST(TraceReplay, ReplayWithoutTracePathThrows) {
 
 TEST(TraceReplay, GeometryMismatchThrows) {
   const Trace t = record_workload("neighbor", tiny_synth());
-  sim::Scheduler sched;
-  noc::Network net(sched, noc::TorusGeometry(2, 2));
-  EXPECT_THROW(TraceReplayer(sched, net, t), std::runtime_error);
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  noc::Network net(dom, noc::TorusGeometry(2, 2));
+  EXPECT_THROW(TraceReplayer rep(net, t), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
