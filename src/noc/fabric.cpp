@@ -22,18 +22,19 @@ void check_geometry(const TorusGeometry& geom) {
   const auto axis_ok = [](int v) {
     return v >= 1 && v <= TorusGeometry::kMaxAxis;
   };
-  const std::string dims =
-      std::to_string(geom.width()) + "x" + std::to_string(geom.height());
+  const auto reject = [&geom](const std::string& why) {
+    throw std::invalid_argument("noc::Fabric: torus " +
+                                std::to_string(geom.width()) + "x" +
+                                std::to_string(geom.height()) + why);
+  };
   if (!axis_ok(geom.width()) || !axis_ok(geom.height())) {
-    throw std::invalid_argument(
-        "noc::Fabric: torus " + dims + ": each axis must be in [1, " +
-        std::to_string(TorusGeometry::kMaxAxis) + "] (coordinates are 8-bit)");
+    reject(": each axis must be in [1, " +
+           std::to_string(TorusGeometry::kMaxAxis) +
+           "] (coordinates are 8-bit)");
   }
   if (geom.num_nodes() > kMaxFlitUidNodes) {
-    throw std::invalid_argument(
-        "noc::Fabric: torus " + dims + " has more than " +
-        std::to_string(kMaxFlitUidNodes) +
-        " nodes, the most per-node flit uids can address");
+    reject(" has more than " + std::to_string(kMaxFlitUidNodes) +
+           " nodes, the most per-node flit uids can address");
   }
 }
 

@@ -32,8 +32,13 @@ SimDomain::SimDomain(const SchedulerConfig& cfg, int max_useful_shards)
     shard_cfg.queue = SchedulerConfig::EventQueue::kCalendar;
   }
   shards_.reserve(static_cast<std::size_t>(n));
-  drains_.resize(static_cast<std::size_t>(n));
-  local_next_.resize(static_cast<std::size_t>(n));
+  // The drain table and the padded next-event slots serve only the
+  // lockstep loop; a one-shard domain runs its scheduler directly and
+  // allocates neither, so it costs what a bare Scheduler does to build.
+  if (n > 1) {
+    drains_.resize(static_cast<std::size_t>(n));
+    local_next_.resize(static_cast<std::size_t>(n));
+  }
   for (int s = 0; s < n; ++s) {
     shards_.push_back(std::make_unique<Scheduler>(shard_cfg));
     // One construction-order counter across all shards: the canonical
@@ -67,6 +72,7 @@ void SimDomain::set_cycle_hook(CycleHook* hook, Cycle first) {
 
 void SimDomain::add_shard_drain(int s, std::function<void(Cycle)> fn) {
   setup_.assert_held();  // registration time, before run()
+  if (!sharded()) return;  // drains run only in the lockstep loop
   drains_[static_cast<std::size_t>(s)].push_back(std::move(fn));
 }
 
