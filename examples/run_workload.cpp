@@ -44,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "noc/coord.h"
 #include "sim/telemetry.h"
 #include "workload/flit_report.h"
 #include "workload/saturation.h"
@@ -140,6 +141,9 @@ E parse_enum(const char* v,
 }
 
 int parse_count(const char* v) { return parse_num<int>(v, 0); }
+int parse_axis(const char* v) {
+  return parse_num<int>(v, 1, noc::TorusGeometry::kMaxAxis);
+}
 int parse_positive(const char* v) { return parse_num<int>(v, 1); }
 /// Offered loads, probabilities and ratios.
 double parse_fraction(const char* v) { return parse_num<double>(v, 0.0, 1.0); }
@@ -163,11 +167,11 @@ const std::vector<Flag>& flag_table() {
       // --- machine (core::MedeaConfig + run-wide knobs) ---
       {"machine", "--width", "", "W", "NoC torus width (default 4)",
        [](Cli& c, const char* v) {
-         c.req.machine.noc_width = parse_positive(v);
+         c.req.machine.noc_width = parse_axis(v);
        }},
       {"machine", "--height", "", "H", "NoC torus height (default 4)",
        [](Cli& c, const char* v) {
-         c.req.machine.noc_height = parse_positive(v);
+         c.req.machine.noc_height = parse_axis(v);
        }},
       {"machine", "--cores", "", "P", "compute cores (default 4)",
        [](Cli& c, const char* v) {

@@ -97,7 +97,8 @@ void validate_request(const RunRequest& req, const Workload& w) {
   const MeasurementParams& m = req.measurement;
   if (k == WorkloadKind::kSynthetic) {
     const SyntheticParams sp = req.synthetic.value_or(SyntheticParams{});
-    const int nodes = req.machine.noc_width * req.machine.noc_height;
+    const long long nodes =
+        static_cast<long long>(req.machine.noc_width) * req.machine.noc_height;
     if (sp.hotspot_node < 0 || sp.hotspot_node >= nodes) {
       throw std::invalid_argument(
           "synthetic.hotspot_node " + std::to_string(sp.hotspot_node) +
