@@ -27,9 +27,9 @@
 /// noc::Network (the deflection torus, network.h) and noc::XyNetwork
 /// (the buffered-XY baseline, xy_network.h) add only their router type;
 /// Network also splits its links at row-band shard seams.  Traffic
-/// endpoints, trace replay and the measurement drivers run against
-/// Fabric, so each exists once for both fabrics — the way booksim2 and
-/// Graphite drive every router model through one flit/network core.
+/// endpoints, trace replay and phased measurement run against Fabric,
+/// so each exists once for both fabrics — the way booksim2 and Graphite
+/// run every router model through one flit/network core.
 ///
 /// Links are single-flit channels: a flit pushed at cycle T arrives at
 /// the downstream router at T+1, giving the one-cycle-per-hop latency

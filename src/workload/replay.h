@@ -48,8 +48,8 @@ struct ReplayResult {
   sim::Cycle last_delivery_cycle = 0;
 };
 
-/// Replay driver: per-node injectors and sinks on `net`, built on each
-/// node's shard.  Copies the trace's events; the Trace itself need not
+/// Re-injects a trace into `net` through per-node injectors and sinks,
+/// each built on its node's shard.  Copies the trace's events; the Trace itself need not
 /// outlive the replayer.  Throws std::runtime_error unless the network
 /// geometry matches trace.meta, and — for v2 traces, unless
 /// `allow_config_mismatch` — unless the fabric kind and configuration
