@@ -6,10 +6,17 @@
 /// we report the absolute throughput of this simulator — simulated
 /// cycles/second and design points/hour — which is the quantity that
 /// makes the DSE methodology practical.
+///
+/// Every case also reports node_mcyc_per_s (simulated cycles x torus
+/// nodes / wall second, in millions), which stays comparable between a
+/// 16-node and a 3600-node fabric where cycles/s alone does not.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/jacobi.h"
@@ -24,6 +31,11 @@
 using namespace medea;
 
 namespace {
+
+/// Simulated node-cycles per wall second, in millions.
+void add_node_speed(bench::Measurement& m, int nodes) {
+  m.metric("node_mcyc_per_s", m.sim_speed * nodes / 1e6);
+}
 
 bench::Measurement design_point(const bench::RunOptions& opt, int cores,
                                 std::uint32_t kb) {
@@ -62,6 +74,7 @@ bench::Measurement design_point(const bench::RunOptions& opt, int cores,
         return res.total_cycles;
       });
   wall_per_point_ns = m.wall_ns;
+  add_node_speed(m, 16);  // the 4x4 torus of every design point
   // Design points per hour at this configuration's cost (the paper needed
   // 5 servers and a day for 168 points).
   if (wall_per_point_ns > 0.0) {
@@ -88,23 +101,18 @@ bench::Measurement design_point(const bench::RunOptions& opt, int cores,
 }
 
 /// Shard-count axis: uniform-random deflection traffic on a WxH torus
-/// under the sharded parallel kernel.  `shards` follows
-/// SchedulerConfig::num_shards semantics (0 = one per hardware thread);
-/// 1 runs the single-thread calendar baseline the speedup is measured
-/// against.  Exports the parallel-efficiency metrics alongside
-/// sim_speed: barrier wait (load imbalance), mailbox traffic
-/// (cross-shard flit volume), and the adaptive ring sizing counters.
+/// split into `shards` row bands (SchedulerConfig::num_shards); 1 runs
+/// the single-thread baseline the speedup is measured against.  Exports
+/// the parallel-efficiency metrics alongside sim_speed: barrier wait
+/// (load imbalance), mailbox traffic (cross-shard flit volume), and the
+/// calendar/overflow push split.
 bench::Measurement sharded_traffic(const bench::RunOptions& opt, int width,
                                    int height, int shards, int flits) {
   sim::SchedulerConfig scfg;
-  if (shards != 1) {
-    scfg.queue = sim::SchedulerConfig::EventQueue::kShardedCalendar;
-    scfg.num_shards = shards;
-  }
+  scfg.num_shards = static_cast<std::uint32_t>(shards);
   const int resolved = sim::SimDomain::resolve_shards(scfg, height);
   std::uint64_t barrier_ns = 0, mailbox = 0, channels = 0;
   std::uint64_t bucket = 0, overflow = 0;
-  std::uint32_t ring_bits = 0, suggested = 0;
   auto m = bench::run_case(
       "uniform_" + std::to_string(width) + "x" + std::to_string(height) +
           "/shards" + std::to_string(resolved),
@@ -125,38 +133,36 @@ bench::Measurement sharded_traffic(const bench::RunOptions& opt, int width,
         channels = net.num_shard_channels();
         bucket = dom.bucket_pushes();
         overflow = dom.overflow_pushes();
-        ring_bits = dom.shard(0).ring_bits_chosen();
-        suggested = dom.shard(0).suggested_ring_bits(0.99);
         return dom.now();
       });
+  add_node_speed(m, width * height);
   m.metric("shards", static_cast<double>(resolved));
   m.metric("barrier_wait_ns", static_cast<double>(barrier_ns));
   m.metric("mailbox_flits", static_cast<double>(mailbox));
   m.metric("shard_channels", static_cast<double>(channels));
   m.metric("sched_bucket_pushes", static_cast<double>(bucket));
   m.metric("sched_overflow_pushes", static_cast<double>(overflow));
-  m.metric("ring_bits_chosen", static_cast<double>(ring_bits));
-  m.metric("ring_bits_suggested", static_cast<double>(suggested));
   return m;
 }
 
-/// The shard counts one axis sweeps: 1/2/4/max by default, or the
-/// single count the --shards=N filter selected.  Deduplicated after
-/// clamping to the fabric height (a 4-row torus caps at 4 shards).
+/// The shard counts one axis sweeps: 1, 2, 4 and one per hardware
+/// thread by default, or the single count the --shards=N filter
+/// selected.  Deduplicated after clamping to the fabric height (a 4-row
+/// torus caps at 4 shards).
 std::vector<int> shard_axis(int only_shards, int height) {
-  std::vector<int> raw =
-      only_shards >= 0 ? std::vector<int>{only_shards}
-                       : std::vector<int>{1, 2, 4, 0 /* max */};
+  const int hw =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const std::vector<int> raw = only_shards > 0
+                                   ? std::vector<int>{only_shards}
+                                   : std::vector<int>{1, 2, 4, hw};
   std::vector<int> counts;
   for (int s : raw) {
     sim::SchedulerConfig scfg;
-    scfg.queue = sim::SchedulerConfig::EventQueue::kShardedCalendar;
-    scfg.num_shards = s;
-    const int resolved =
-        s == 1 ? 1 : sim::SimDomain::resolve_shards(scfg, height);
+    scfg.num_shards = static_cast<std::uint32_t>(s);
+    const int resolved = sim::SimDomain::resolve_shards(scfg, height);
     bool dup = false;
     for (int c : counts) dup = dup || c == resolved;
-    if (!dup) counts.push_back(s == 1 ? 1 : s);
+    if (!dup) counts.push_back(resolved);
   }
   return counts;
 }
@@ -165,12 +171,17 @@ std::vector<int> shard_axis(int only_shards, int height) {
 
 int main(int argc, char** argv) {
   // --shards=N restricts the run to the sharded-traffic axis at exactly
-  // N shards (CI smoke mode); the full run covers the app design points
-  // plus the 1/2/4/max shard axis on both fabric scales.
+  // N >= 1 shards (CI smoke mode); the full run covers the app design
+  // points plus the 1/2/4/hardware-threads shard axis on both fabrics.
   int only_shards = -1;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--shards=", 0) == 0) only_shards = std::atoi(a.c_str() + 9);
+    if (a.rfind("--shards=", 0) != 0) continue;
+    only_shards = std::atoi(a.c_str() + 9);
+    if (only_shards < 1) {
+      std::fprintf(stderr, "error: --shards must be at least 1\n");
+      return 1;
+    }
   }
   bench::Report report("sim_speed", argc, argv);
   if (only_shards < 0) {
@@ -178,8 +189,10 @@ int main(int argc, char** argv) {
     report.add(design_point(report.options(), 8, 16));   // mid
     report.add(design_point(report.options(), 15, 64));  // best: compute-bound
   }
-  // The 15-core fabric (4x4 torus) and the paper's 60x60 scale: the
-  // small fabric shows the overhead floor, the big one the speedup.
+  // The paper's 4x4 torus (15 cores + the MPMMU) and a 60x60 torus
+  // (3600 nodes, far beyond the paper's fabric; the paper's "60x60" is
+  // the Jacobi array): the small fabric shows the sharding overhead
+  // floor, the big one the speedup.
   for (int s : shard_axis(only_shards, 4)) {
     report.add(sharded_traffic(report.options(), 4, 4, s, 2000));
   }

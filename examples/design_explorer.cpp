@@ -6,18 +6,44 @@
 /// "NP_Mk$" labels the paper's Figs. 7/9 use.
 ///
 /// Usage: ./examples/design_explorer [grid_n] [max_cores]
+///
+///   grid_n      Jacobi grid size, >= 4 (default 30)
+///   max_cores   sweep 2..max_cores compute cores, 2..15 (default 8)
+///
+/// A malformed argument exits 1 with an error naming it.
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
+#include "cli_flags.h"
 #include "dse/pareto.h"
 #include "dse/sweep.h"
 
 using namespace medea;
 
-int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 30;
-  const int max_cores = argc > 2 ? std::atoi(argv[2]) : 8;
+namespace {
+
+/// argv[i] as an int in [lo, hi], or `fallback` when it was not given.
+int positional(int argc, char** argv, int i, const char* name, int fallback,
+               int lo, int hi) {
+  if (argc <= i) return fallback;
+  try {
+    return cli::parse_num<int>(argv[i], lo, hi);
+  } catch (const std::invalid_argument& e) {
+    std::string msg = name;
+    msg += ": ";
+    msg += e.what();
+    throw std::invalid_argument(msg);
+  }
+}
+
+int explore(int argc, char** argv) {
+  const int n = positional(argc, argv, 1, "grid_n", 30, 4,
+                           std::numeric_limits<int>::max());
+  const int max_cores = positional(argc, argv, 2, "max_cores", 8, 2, 15);
 
   dse::SweepSpec spec;
   spec.n = n;
@@ -50,4 +76,15 @@ int main(int argc, char** argv) {
                 i == knee ? "  <- Kill rule stops here" : "");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return explore(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -30,20 +30,15 @@
 ///
 /// Exit code 0 on success (and verification pass), 1 otherwise.
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <initializer_list>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <system_error>
-#include <utility>
 #include <vector>
 
+#include "cli_flags.h"
 #include "noc/coord.h"
 #include "sim/telemetry.h"
 #include "workload/flit_report.h"
@@ -105,40 +100,8 @@ struct Flag {
 // Typed flag values: a malformed value is an error naming the flag
 // ---------------------------------------------------------------------
 
-/// Parse all of `v` as a T within [lo, hi].  Throws std::invalid_argument
-/// on an empty value, trailing garbage, or a value outside the range
-/// (NaN and infinities included); main() prefixes the flag's name.
-template <typename T>
-T parse_num(std::string_view v, T lo = std::numeric_limits<T>::lowest(),
-            T hi = std::numeric_limits<T>::max()) {
-  T x{};
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
-  const auto quoted = [&v] { return "'" + std::string(v) + "'"; };
-  if (ec == std::errc::invalid_argument || end != v.data() + v.size()) {
-    throw std::invalid_argument(quoted() + " is not a number");
-  }
-  if (ec == std::errc::result_out_of_range || !(x >= lo && x <= hi)) {
-    std::ostringstream range;
-    range << " is out of range [" << +lo << ", " << +hi << "]";
-    throw std::invalid_argument(quoted() + range.str());
-  }
-  return x;
-}
-
-/// The value `v` names among `choices`; anything else is an error that
-/// lists the accepted spellings.
-template <typename E>
-E parse_enum(const char* v,
-             std::initializer_list<std::pair<const char*, E>> choices) {
-  std::string names;
-  for (const auto& [name, e] : choices) {
-    if (std::strcmp(v, name) == 0) return e;
-    if (!names.empty()) names += '|';
-    names += name;
-  }
-  throw std::invalid_argument("unknown value '" + std::string(v) +
-                              "' (expected " + names + ")");
-}
+using cli::parse_enum;
+using cli::parse_num;
 
 int parse_count(const char* v) { return parse_num<int>(v, 0); }
 int parse_axis(const char* v) {
@@ -201,12 +164,11 @@ const std::vector<Flag>& flag_table() {
       {"machine", "--verify", "", "", "check against the host reference",
        [](Cli& c, const char*) { c.req.verify = true; }},
       {"machine", "--shards", "", "N",
-       "run the sharded parallel kernel with N threads (0 = one per "
-       "hardware thread; results are bit-identical to --shards=1)",
+       "run N row bands of the torus on N threads, 1..64 (default 1; "
+       "results are bit-identical at any count)",
        [](Cli& c, const char* v) {
-         c.req.machine.scheduler.queue =
-             sim::SchedulerConfig::EventQueue::kShardedCalendar;
-         c.req.machine.scheduler.num_shards = parse_num<std::uint32_t>(v);
+         c.req.machine.scheduler.num_shards =
+             parse_num<std::uint32_t>(v, 1, 64);
        }},
 
       // --- synthetic (SyntheticParams) ---
@@ -538,7 +500,6 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  cli.req.machine.workload = name;
 
   // Telemetry outputs imply sampling; pick a default cadence when the
   // user asked for an export but not a rate.

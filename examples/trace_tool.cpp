@@ -5,10 +5,11 @@
 ///
 ///   trace_tool inspect FILE [--buckets=N] [--json]
 ///       Header, per-source injection rates, the src->dst heatmap and
-///       the injection-over-time profile.  --json emits the same
-///       inspection as one machine-readable JSON document (per-source
-///       rates, the src->dst matrix, both histograms) so notebooks
-///       consume the numbers directly instead of scraping the text.
+///       the injection-over-time profile (N buckets, 1..65536, default
+///       16).  --json emits the same inspection as one machine-readable
+///       JSON document (per-source rates, the src->dst matrix, both
+///       histograms) so notebooks consume the numbers directly instead
+///       of scraping the text.
 ///
 ///   trace_tool transform IN -o OUT [passes...]
 ///       Apply a pipeline of transform passes (in the order given):
@@ -31,26 +32,29 @@
 ///       Interleave two recordings of the same fabric into one
 ///       multi-tenant trace (uids re-spaced).
 ///
-///   trace_tool flits FILE [--sample=N] [--worst=K] [--json=OUT]
-///       Per-flit lifecycle forensics: replay the trace with the flit
-///       tracer attached and print the latency decomposition plus the
-///       top-K worst-packet hop chains (--json additionally writes the
-///       full medea-flittrace-v1 document).
+/// For per-flit forensics of a recording, replay it with the flit tracer
+/// on: `run_workload replay --trace=FILE --worst-flits=K --flit-trace=OUT`.
+///
+/// Flag values are typed: a non-numeric value, trailing garbage or an
+/// out-of-range number (a remap axis outside [1, 256]) exits 1 with an
+/// error naming the flag, before any trace is loaded.
 ///
 /// Exit codes: 0 success, 1 usage/processing error, 2 diff found
 /// differences.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "workload/flit_report.h"
-#include "workload/timeline.h"
+#include "cli_flags.h"
+#include "noc/coord.h"
 #include "workload/trace.h"
-#include "workload/workload.h"
 #include "workload/xform/inspect.h"
 #include "workload/xform/transform.h"
 
@@ -67,41 +71,62 @@ int usage() {
       "       trace_tool transform IN -o OUT [--scale=F] [--remap=WxH]\n"
       "         [--remap-tiled=WxH] [--window=B:E] [--window-raw=B:E]\n"
       "       trace_tool diff A B\n"
-      "       trace_tool merge A B -o OUT\n"
-      "       trace_tool flits FILE [--sample=N] [--worst=K] [--json=OUT]\n");
+      "       trace_tool merge A B -o OUT\n");
   return 1;
 }
 
-/// "--key=value" matcher (returns the value or nullptr).
-const char* opt_value(const std::string& arg, const char* key) {
+/// "--key=value" matcher (returns the value or nullptr).  The value
+/// points into `arg`'s own NUL-terminated storage (argv or a caller's
+/// std::string), never into a temporary.
+const char* opt_value(std::string_view arg, const char* key) {
   const std::size_t klen = std::strlen(key);
   if (arg.compare(0, klen, key) == 0 && arg.size() > klen &&
       arg[klen] == '=') {
-    return arg.c_str() + klen + 1;
+    return arg.data() + klen + 1;
   }
   return nullptr;
 }
 
-bool parse_dims(const char* s, int* w, int* h) {
-  char* end = nullptr;
-  const long lw = std::strtol(s, &end, 10);
-  if (end == s || *end != 'x') return false;
-  const char* hs = end + 1;
-  const long lh = std::strtol(hs, &end, 10);
-  if (end == hs || *end != '\0') return false;
-  *w = static_cast<int>(lw);
-  *h = static_cast<int>(lh);
-  return true;
+/// Split "AsepB" at the first `sep`; a value without one is an error.
+std::pair<std::string_view, std::string_view> split_pair(std::string_view v,
+                                                         char sep) {
+  const std::size_t at = v.find(sep);
+  if (at == std::string_view::npos) {
+    std::string msg = "'";
+    msg += v;
+    msg += "' is not of the form A";
+    msg += sep;
+    msg += 'B';
+    throw std::invalid_argument(msg);
+  }
+  return {v.substr(0, at), v.substr(at + 1)};
 }
 
-bool parse_range(const char* s, unsigned long long* b, unsigned long long* e) {
-  char* end = nullptr;
-  *b = std::strtoull(s, &end, 10);
-  if (end == s || *end != ':') return false;
-  const char* es = end + 1;
-  *e = std::strtoull(es, &end, 10);
-  return end != es && *end == '\0';
+/// "WxH", each axis in [1, TorusGeometry::kMaxAxis].
+std::pair<int, int> parse_dims(std::string_view v) {
+  const auto [w, h] = split_pair(v, 'x');
+  constexpr int kMax = noc::TorusGeometry::kMaxAxis;
+  return {cli::parse_num<int>(w, 1, kMax), cli::parse_num<int>(h, 1, kMax)};
 }
+
+/// "B:E" cycle bounds.
+std::pair<std::uint64_t, std::uint64_t> parse_range(std::string_view v) {
+  const auto [b, e] = split_pair(v, ':');
+  return {cli::parse_num<std::uint64_t>(b), cli::parse_num<std::uint64_t>(e)};
+}
+
+/// Re-throw a flag value's parse error with the flag's name in front,
+/// as `run_workload` reports it.
+[[noreturn]] void bad_flag(const std::string& arg, const std::exception& e) {
+  std::string msg = arg.substr(0, arg.find('='));
+  msg += ": ";
+  msg += e.what();
+  throw std::invalid_argument(msg);
+}
+
+/// Time-profile resolution cap: the text report draws one character per
+/// bucket, and the JSON holds one count per bucket.
+constexpr int kMaxBuckets = 1 << 16;
 
 int cmd_inspect(int argc, char** argv) {
   const char* path = nullptr;
@@ -109,7 +134,11 @@ int cmd_inspect(int argc, char** argv) {
   bool json = false;
   for (int i = 0; i < argc; ++i) {
     if (const char* v = opt_value(argv[i], "--buckets")) {
-      buckets = std::atoi(v);
+      try {
+        buckets = cli::parse_num<int>(v, 1, kMaxBuckets);
+      } catch (const std::invalid_argument& e) {
+        bad_flag(argv[i], e);
+      }
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (argv[i][0] != '-' && path == nullptr) {
@@ -133,32 +162,35 @@ int cmd_transform(int argc, char** argv) {
   xform::Pipeline pipeline;
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "-o" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (const char* v = opt_value(a, "--scale")) {
-      pipeline.add(std::make_unique<xform::RateScale>(std::atof(v)));
-    } else if (const char* v2 = opt_value(a, "--remap")) {
-      int w = 0, h = 0;
-      if (!parse_dims(v2, &w, &h)) return usage();
-      pipeline.add(std::make_unique<xform::RemapNodes>(
-          w, h, xform::RemapMode::kBijective));
-    } else if (const char* v3 = opt_value(a, "--remap-tiled")) {
-      int w = 0, h = 0;
-      if (!parse_dims(v3, &w, &h)) return usage();
-      pipeline.add(
-          std::make_unique<xform::RemapNodes>(w, h, xform::RemapMode::kTiled));
-    } else if (const char* v4 = opt_value(a, "--window")) {
-      unsigned long long b = 0, e = 0;
-      if (!parse_range(v4, &b, &e)) return usage();
-      pipeline.add(std::make_unique<xform::TimeWindow>(b, e, true));
-    } else if (const char* v5 = opt_value(a, "--window-raw")) {
-      unsigned long long b = 0, e = 0;
-      if (!parse_range(v5, &b, &e)) return usage();
-      pipeline.add(std::make_unique<xform::TimeWindow>(b, e, false));
-    } else if (a[0] != '-' && in_path == nullptr) {
-      in_path = argv[i];
-    } else {
-      return usage();
+    // The pass constructors validate their own arguments (a scale
+    // factor in (0, 1e6], a remap within 256 nodes, begin < end).
+    try {
+      if (a == "-o" && i + 1 < argc) {
+        out_path = argv[++i];
+      } else if (const char* v = opt_value(a, "--scale")) {
+        pipeline.add(
+            std::make_unique<xform::RateScale>(cli::parse_num<double>(v)));
+      } else if (const char* v2 = opt_value(a, "--remap")) {
+        const auto [w, h] = parse_dims(v2);
+        pipeline.add(std::make_unique<xform::RemapNodes>(
+            w, h, xform::RemapMode::kBijective));
+      } else if (const char* v3 = opt_value(a, "--remap-tiled")) {
+        const auto [w, h] = parse_dims(v3);
+        pipeline.add(std::make_unique<xform::RemapNodes>(
+            w, h, xform::RemapMode::kTiled));
+      } else if (const char* v4 = opt_value(a, "--window")) {
+        const auto [b, e] = parse_range(v4);
+        pipeline.add(std::make_unique<xform::TimeWindow>(b, e, true));
+      } else if (const char* v5 = opt_value(a, "--window-raw")) {
+        const auto [b, e] = parse_range(v5);
+        pipeline.add(std::make_unique<xform::TimeWindow>(b, e, false));
+      } else if (a[0] != '-' && in_path == nullptr) {
+        in_path = argv[i];
+      } else {
+        return usage();
+      }
+    } catch (const std::invalid_argument& e) {
+      bad_flag(a, e);
     }
   }
   if (in_path == nullptr || out_path == nullptr) return usage();
@@ -216,62 +248,6 @@ int cmd_merge(int argc, char** argv) {
   return 0;
 }
 
-/// Replay FILE through the workload engine with the flit tracer
-/// attached: the trace analyzer without a JSON parser in C++ — the
-/// replayed run *is* the recorded run (bit-identical scheduling), so
-/// its hop chains are the recording's forensics.
-int cmd_flits(int argc, char** argv) {
-  const char* path = nullptr;
-  std::uint32_t sample = 1;
-  int worst = 8;
-  std::string json_path;
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (const char* v = opt_value(a, "--sample")) {
-      sample = static_cast<std::uint32_t>(std::atoll(v));
-    } else if (const char* v2 = opt_value(a, "--worst")) {
-      worst = std::atoi(v2);
-    } else if (const char* v3 = opt_value(a, "--json")) {
-      json_path = v3;
-    } else if (a[0] != '-' && path == nullptr) {
-      path = argv[i];
-    } else {
-      return usage();
-    }
-  }
-  if (path == nullptr || sample == 0) return usage();
-
-  workload::RunRequest req;
-  req.replay = workload::ReplayParams{};
-  req.replay->trace_path = path;
-  req.flit_trace.sample_every = sample;
-  req.flit_trace.worst_k = worst;
-  const workload::RunResult res = workload::run_by_name("replay", req);
-
-  std::printf("%s: replayed %llu flits in %llu cycles\n", path,
-              static_cast<unsigned long long>(res.flits_delivered),
-              static_cast<unsigned long long>(res.cycles));
-  std::fputs(workload::format_worst_flits(res.flit_trace, worst).c_str(),
-             stdout);
-  if (!json_path.empty()) {
-    workload::TimelineMeta meta;
-    meta.workload = "replay";
-    meta.noc_width = res.flit_trace.width;
-    meta.noc_height = res.flit_trace.height;
-    const std::string doc =
-        workload::format_flit_trace_json(res.flit_trace, meta, worst);
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -282,7 +258,6 @@ int main(int argc, char** argv) {
     if (cmd == "transform") return cmd_transform(argc - 2, argv + 2);
     if (cmd == "diff") return cmd_diff(argc - 2, argv + 2);
     if (cmd == "merge") return cmd_merge(argc - 2, argv + 2);
-    if (cmd == "flits") return cmd_flits(argc - 2, argv + 2);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

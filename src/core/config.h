@@ -42,15 +42,11 @@ struct MedeaConfig {
   mem::MemoryMapConfig memmap{};
 
   // --- simulation kernel ---
-  /// Event-queue selection for the discrete-event kernel: the calendar
-  /// queue (default) or the legacy binary heap, kept selectable so
-  /// differential tests can assert the two produce identical runs.
+  /// Kernel selection: the event queue (the calendar queue by default,
+  /// or the binary heap the differential tests compare against) and the
+  /// shard count NoC-only workloads run on (a MedeaSystem always runs
+  /// one shard).
   sim::SchedulerConfig scheduler{};
-
-  // --- workload selection ---
-  /// Registry name of the scenario to run on this machine (consumed by
-  /// workload::run_configured and dse::run_sweep; see src/workload/).
-  std::string workload = "jacobi";
 
   std::uint64_t seed = 1;
 

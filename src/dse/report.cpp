@@ -44,14 +44,11 @@ std::vector<ExecTimeCurve> exec_time_curves(
 
 std::string to_csv(const std::vector<SweepPoint>& pts) {
   std::ostringstream os;
-  os << "cores,cache_kb,policy,workload,variant,metric,metric_name,area_mm2,"
-        "label\n";
+  os << "cores,cache_kb,policy,cycles_per_iteration,area_mm2,label\n";
   for (const auto& p : pts) {
     os << p.cores << ',' << p.cache_kb << ',' << mem::to_string(p.policy)
-       << ',' << (p.workload.empty() ? "jacobi" : p.workload) << ','
-       << apps::to_string(p.variant) << ',' << p.cycles_per_iteration << ','
-       << (p.metric_name.empty() ? "cycles_per_iteration" : p.metric_name)
-       << ',' << p.area_mm2 << ',' << p.label << '\n';
+       << ',' << p.cycles_per_iteration << ',' << p.area_mm2 << ','
+       << p.label << '\n';
   }
   return std::move(os).str();
 }

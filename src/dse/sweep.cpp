@@ -1,34 +1,17 @@
 #include "dse/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
-#include <utility>
 #include <thread>
 
+#include "apps/jacobi.h"
 #include "core/system.h"
+#include "dse/area.h"
 #include "sim/telemetry.h"
-#include "workload/workload.h"
 
 namespace medea::dse {
-
-namespace {
-
-/// Registry name for a spec: the paper's Jacobi programming-model
-/// ablation is expressed through `variant`, which maps onto the three
-/// registered Jacobi workloads.
-std::string workload_name(const SweepSpec& spec) {
-  if (spec.workload != "jacobi") return spec.workload;
-  switch (spec.variant) {
-    case apps::JacobiVariant::kHybridMp: return "jacobi";
-    case apps::JacobiVariant::kHybridSyncOnly: return "jacobi-sync";
-    case apps::JacobiVariant::kPureSharedMemory: return "jacobi-sm";
-  }
-  return "jacobi";
-}
-
-}  // namespace
 
 core::MedeaConfig make_design_config(int cores, std::uint32_t cache_kb,
                                      mem::WritePolicy policy) {
@@ -43,73 +26,28 @@ core::MedeaConfig make_design_config(int cores, std::uint32_t cache_kb,
 }
 
 SweepPoint run_design_point(const SweepSpec& spec, int cores,
-                            std::uint32_t cache_kb, mem::WritePolicy policy,
-                            double trace_scale, double injection_rate) {
-  const std::string name = workload_name(spec);
-  const workload::Workload& w =
-      workload::WorkloadRegistry::instance().at(name);
-
-  workload::RunRequest req;
-  req.machine = make_design_config(cores, cache_kb, policy);
-  req.machine.workload = name;
-  req.machine.scheduler = spec.scheduler;
-  switch (w.kind()) {
-    case workload::WorkloadKind::kApp: {
-      workload::AppParams ap;
-      ap.size = spec.n;
-      ap.iterations = spec.timed_iterations;
-      ap.warmup_iterations = spec.warmup_iterations;
-      req.app = ap;
-      break;
-    }
-    case workload::WorkloadKind::kReplay: {
-      workload::ReplayParams rp;
-      rp.trace_path = spec.trace_path;
-      rp.trace_scale = trace_scale;
-      req.replay = rp;
-      break;
-    }
-    case workload::WorkloadKind::kSynthetic: {
-      workload::SyntheticParams sp;
-      if (injection_rate >= 0.0) {
-        sp.injection_rate = injection_rate;
-        req.measurement = spec.measurement;
-        req.measurement.phased = true;
-      }
-      req.synthetic = sp;
-      break;
-    }
-  }
-  std::ostringstream label;
-  label << cores << "P_" << cache_kb << "k$_" << mem::to_string(policy);
-  if (trace_scale != 1.0) label << "_x" << trace_scale;
-  if (injection_rate >= 0.0) label << "_l" << injection_rate;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  workload::RunResult res;
-  {
-    telemetry::ProfileScope scope("point " + label.str(), "sweep");
-    res = workload::run_workload(w, req);
-  }
-  const double host_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-
+                            std::uint32_t cache_kb, mem::WritePolicy policy) {
+  const core::MedeaConfig cfg = make_design_config(cores, cache_kb, policy);
   SweepPoint pt;
-  pt.workload = name;
   pt.cores = cores;
   pt.cache_kb = cache_kb;
   pt.policy = policy;
-  pt.variant = spec.variant;
-  pt.cycles_per_iteration = res.metric;
-  pt.metric_name = res.metric_name;
-  pt.area_mm2 = spec.area.chip_area_mm2(req.machine);
-  pt.trace_scale = trace_scale;
-  pt.injection_rate = injection_rate;
-  pt.measurement = res.measurement;
-  pt.host_ms = host_ms;
-  pt.label = std::move(label).str();
+  pt.label = cfg.label();
+  pt.area_mm2 = AreaModel{}.chip_area_mm2(cfg);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    telemetry::ProfileScope scope("point " + pt.label, "sweep");
+    core::MedeaSystem sys(cfg);
+    apps::JacobiParams jp;
+    jp.n = spec.n;
+    jp.warmup_iterations = spec.warmup_iterations;
+    jp.timed_iterations = spec.timed_iterations;
+    pt.cycles_per_iteration = apps::run_jacobi(sys, jp).cycles_per_iteration;
+  }
+  pt.host_ms = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
   return pt;
 }
 
@@ -118,31 +56,11 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
     int cores;
     std::uint32_t cache_kb;
     mem::WritePolicy policy;
-    double trace_scale;
-    double injection_rate;
   };
-  // The replay rate-sweep and synthetic load-sweep axes multiply the
-  // cross product; everything else runs each cell once, verbatim.
-  std::vector<double> scales = {1.0};
-  if (spec.workload == "replay" && !spec.trace_scales.empty()) {
-    scales = spec.trace_scales;
-  }
-  std::vector<double> rates = {-1.0};
-  if (!spec.injection_rates.empty()) {
-    const workload::Workload* w =
-        workload::WorkloadRegistry::instance().find(workload_name(spec));
-    if (w != nullptr && w->kind() == workload::WorkloadKind::kSynthetic) {
-      rates = spec.injection_rates;
-    }
-  }
   std::vector<Job> jobs;
   for (int c : spec.cores) {
     for (auto kb : spec.cache_kb) {
-      for (auto pol : spec.policies) {
-        for (double s : scales) {
-          for (double r : rates) jobs.push_back({c, kb, pol, s, r});
-        }
-      }
+      for (auto pol : spec.policies) jobs.push_back({c, kb, pol});
     }
   }
   std::vector<SweepPoint> out(jobs.size());
@@ -192,8 +110,7 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
     for (std::size_t i = first; i < jobs.size();
          i += static_cast<std::size_t>(threads)) {
       const Job& j = jobs[i];
-      out[i] = run_design_point(spec, j.cores, j.cache_kb, j.policy,
-                                j.trace_scale, j.injection_rate);
+      out[i] = run_design_point(spec, j.cores, j.cache_kb, j.policy);
       const std::size_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
       if (spec.progress) progress_line(d, false);
     }

@@ -4,11 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "apps/jacobi.h"
 #include "core/config.h"
-#include "dse/area.h"
 #include "dse/pareto.h"
-#include "workload/measure.h"
 
 /// \file sweep.h
 /// Design-space exploration driver (paper §III).
@@ -16,14 +13,10 @@
 /// The paper evaluates 168 design points per data size: compute cores 2
 /// to 15 (plus the MPMMU, 16 nodes on the 4x4 folded torus), L1 cache
 /// 2..64 kB in powers of two, Write-Back and Write-Through.  This driver
-/// enumerates that space (or any sub-space), runs the selected workload
-/// on each point, attaches chip area from the AreaModel, and feeds the
-/// Pareto/Kill-rule analysis that produces Figs. 7 and 9.
-///
-/// Any workload-registry scenario can drive the sweep: the paper's
-/// Jacobi (the default), the reduction app, the synthetic NoC patterns
-/// or a recorded trace replay (`workload = "replay"` + trace_path) —
-/// the fast-forward mode for NoC-centric exploration.
+/// enumerates that space (or any sub-space), runs the hybrid
+/// message-passing Jacobi on each point, attaches chip area from the
+/// AreaModel, and feeds the Pareto/Kill-rule analysis that produces
+/// Figs. 7 and 9.
 ///
 /// Points are independent simulations and can run on multiple host
 /// threads (the paper used 5 dual-Xeon servers for a day; we aim for
@@ -32,45 +25,14 @@
 namespace medea::dse {
 
 struct SweepSpec {
-  /// Workload-registry name run at every design point.  "jacobi" is
-  /// further refined by `variant` below (kept for the paper's
-  /// programming-model ablations).
-  std::string workload = "jacobi";
-  std::string trace_path;  ///< input trace when workload == "replay"
-  /// Replay-only rate sweep: each factor adds one design point per
-  /// (cores, cache, policy) cell, replaying the trace with its injection
-  /// schedule scaled by that factor (xform::RateScale) — the toolkit's
-  /// fast-forward answer to "how does this recorded traffic behave at
-  /// 0.5x/2x load?".  Empty (the default) means verbatim replay only.
-  std::vector<double> trace_scales;
-  /// Synthetic-only load sweep: each rate adds one design point per
-  /// (cores, cache, policy) cell, running the pattern phased
-  /// (warmup/measure/drain, see workload/measure.h) at that offered
-  /// load — the saturation-study axis.  Empty (the default) keeps the
-  /// workload's default rate and a plain fixed-budget run.
-  std::vector<double> injection_rates;
-  /// Measurement setup for the injection_rates axis (phase lengths,
-  /// steady-state detection); `phased` is forced on for those points.
-  workload::MeasurementParams measurement{};
-
-  int n = 60;  ///< problem size (Jacobi grid / reduction elements)
+  int n = 60;  ///< Jacobi grid size (n x n doubles)
   std::vector<int> cores = {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
   std::vector<std::uint32_t> cache_kb = {2, 4, 8, 16, 32, 64};
   std::vector<mem::WritePolicy> policies = {mem::WritePolicy::kWriteBack,
                                             mem::WritePolicy::kWriteThrough};
-  apps::JacobiVariant variant = apps::JacobiVariant::kHybridMp;
   int warmup_iterations = 1;
   int timed_iterations = 1;
   int threads = 0;  ///< 0 = hardware concurrency
-  AreaModel area{};
-
-  /// Event-queue kernel every design point runs on (default: the
-  /// single-thread calendar queue).  kShardedCalendar runs each point
-  /// on the sharded parallel kernel — results stay bit-identical, so
-  /// it is purely a speed knob; prefer it when the sweep grid is
-  /// smaller than the machine (few big points), and keep the default
-  /// when `threads` already saturates the host (shards multiply).
-  sim::SchedulerConfig scheduler{};
 
   /// Live progress on stderr while the sweep runs: a single updating
   /// line with completed/total points, points/sec and ETA — the "is it
@@ -80,30 +42,16 @@ struct SweepSpec {
 };
 
 struct SweepPoint {
-  std::string workload;  ///< registry name that produced this point
   int cores = 0;
   std::uint32_t cache_kb = 0;
   mem::WritePolicy policy = mem::WritePolicy::kWriteBack;
-  apps::JacobiVariant variant = apps::JacobiVariant::kHybridMp;
-  /// Headline workload metric (`metric_name` says which; Jacobi:
-  /// "cycles_per_iteration").  Kept under the historical field name
-  /// because the Pareto/figure layers treat it as "cycles of work".
   double cycles_per_iteration = 0.0;
-  std::string metric_name;
   double area_mm2 = 0.0;
-  double trace_scale = 1.0;  ///< replay rate-sweep factor (1.0 = verbatim)
-  /// Synthetic load-sweep rate (< 0 on points not on that axis).
-  double injection_rate = -1.0;
-  /// Per-flit latency + throughput for this point (latency.count == 0
-  /// when the run did not collect).  Percentiles feed the saturation
-  /// figures the same way cycles feed the Pareto ones.
-  workload::MeasurementResult measurement{};
   /// Host wall-clock time this point took to simulate — the sweep's
   /// per-point phase timing (also emitted as a ProfileScope span when
   /// the host profiler is enabled).
   double host_ms = 0.0;
-  std::string label;  ///< e.g. "11P_16k$_WB" (replay scales append "_x<f>",
-                      ///< load sweeps "_l<rate>")
+  std::string label;  ///< e.g. "11P_16k$_WB"
 };
 
 /// Build the MedeaConfig for one design point (shared by sweeps, tests
@@ -111,13 +59,10 @@ struct SweepPoint {
 core::MedeaConfig make_design_config(int cores, std::uint32_t cache_kb,
                                      mem::WritePolicy policy);
 
-/// Run one design point (trace_scale != 1.0 only makes sense for the
-/// replay workload; injection_rate >= 0 only for synthetic patterns,
-/// where it switches the point to a phased measured run).
+/// Run one design point: spec.n x spec.n Jacobi, hybrid message
+/// passing, spec's warm-up and timed iterations, no verification.
 SweepPoint run_design_point(const SweepSpec& spec, int cores,
-                            std::uint32_t cache_kb, mem::WritePolicy policy,
-                            double trace_scale = 1.0,
-                            double injection_rate = -1.0);
+                            std::uint32_t cache_kb, mem::WritePolicy policy);
 
 /// Run the full cross product (optionally multi-threaded).  Points are
 /// batched per worker thread (striped ranges, one task per thread) so a

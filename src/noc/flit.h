@@ -157,8 +157,8 @@ class FlitObserver {
 };
 
 /// Fan-out observer: forwards every event to each added observer in add()
-/// order, so recorder + measurement + tracer compose without manual
-/// forward-pointer chaining.  add(nullptr) is a no-op; the tee reports
+/// order, so recorder + measurement + tracer share one fabric hook.
+/// add(nullptr) is a no-op; the tee reports
 /// wants_lifecycle() when any member does (members that don't still
 /// receive the hop-level calls — they inherit the no-op defaults).
 class FlitObserverTee final : public FlitObserver {

@@ -15,22 +15,18 @@ constexpr int kMaxShards = 64;
 }  // namespace
 
 int SimDomain::resolve_shards(const SchedulerConfig& cfg, int max_useful) {
-  if (cfg.queue != SchedulerConfig::EventQueue::kShardedCalendar) return 1;
-  int n = cfg.num_shards != 0
-              ? static_cast<int>(cfg.num_shards)
-              : static_cast<int>(std::thread::hardware_concurrency());
-  if (n < 1) n = 1;
+  if (cfg.num_shards == 0) {
+    throw std::invalid_argument(
+        "SchedulerConfig::num_shards must be at least 1 (got 0)");
+  }
+  int n = static_cast<int>(
+      std::min(cfg.num_shards, static_cast<std::uint32_t>(kMaxShards)));
   if (max_useful > 0) n = std::min(n, max_useful);
-  return std::min(n, kMaxShards);
+  return n;
 }
 
-SimDomain::SimDomain(const SchedulerConfig& cfg, int max_useful_shards)
-    : cfg_(cfg) {
-  const int n = resolve_shards(cfg_, max_useful_shards);
-  SchedulerConfig shard_cfg = cfg_;
-  if (shard_cfg.queue == SchedulerConfig::EventQueue::kShardedCalendar) {
-    shard_cfg.queue = SchedulerConfig::EventQueue::kCalendar;
-  }
+SimDomain::SimDomain(const SchedulerConfig& cfg, int max_useful_shards) {
+  const int n = resolve_shards(cfg, max_useful_shards);
   shards_.reserve(static_cast<std::size_t>(n));
   // The drain table and the padded next-event slots serve only the
   // lockstep loop; a one-shard domain runs its scheduler directly and
@@ -40,7 +36,7 @@ SimDomain::SimDomain(const SchedulerConfig& cfg, int max_useful_shards)
     local_next_.resize(static_cast<std::size_t>(n));
   }
   for (int s = 0; s < n; ++s) {
-    shards_.push_back(std::make_unique<Scheduler>(shard_cfg));
+    shards_.push_back(std::make_unique<Scheduler>(cfg));
     // One construction-order counter across all shards: the canonical
     // within-cycle dispatch key is global, so per-shard event streams
     // concatenate into exactly the single-kernel order.

@@ -11,13 +11,14 @@
 #include "sim/types.h"
 
 /// \file domain.h
-/// The sharded parallel simulation kernel: several calendar-queue
-/// Scheduler shards driven in lockstep, one global cycle at a time.
+/// The sharded parallel simulation kernel: several Scheduler shards
+/// (SchedulerConfig::num_shards) driven in lockstep, one global cycle at
+/// a time.
 ///
 /// Graphite-style cycle-level distribution: the model is partitioned
 /// into per-thread shards (a torus shards by row bands — see
 /// noc::Network), each shard owns its components and runs its own
-/// calendar queue, and shards synchronize at every active cycle with a
+/// event queue, and shards synchronize at every active cycle with a
 /// sense-reversing spin barrier.  Cross-shard channels are split into a
 /// producer-side FIFO whose commit relays into a per-edge SPSC mailbox
 /// (Fifo::set_relay) and a consumer-side FIFO filled by the domain's
@@ -75,22 +76,19 @@ namespace medea::sim {
 
 class SimDomain {
  public:
-  /// Build the shard set for `cfg`.  The shard count is
-  /// resolve_shards(cfg, max_useful_shards); anything other than
-  /// kShardedCalendar, and models that cannot shard (pass
-  /// max_useful_shards = 1), get exactly one shard — the transparent
-  /// single-thread fallback.  Shard schedulers run the calendar kernel
-  /// under kShardedCalendar and the configured kernel otherwise, so a
-  /// 1-shard domain is bit-identical to a plain Scheduler.
+  /// Build resolve_shards(cfg, max_useful_shards) shards, each a
+  /// Scheduler running cfg.queue.  Models that cannot shard pass
+  /// max_useful_shards = 1 and get one shard, which runs its scheduler
+  /// directly and is bit-identical to a plain Scheduler.
   explicit SimDomain(const SchedulerConfig& cfg, int max_useful_shards = 0);
   ~SimDomain();
 
   SimDomain(const SimDomain&) = delete;
   SimDomain& operator=(const SimDomain&) = delete;
 
-  /// Shard count `cfg` resolves to: 1 unless kShardedCalendar, else
-  /// num_shards (0 = std::thread::hardware_concurrency), clamped to
-  /// [1, max_useful] (0 = unclamped) and a sanity cap of 64.
+  /// Shard count `cfg` resolves to: num_shards clamped to max_useful
+  /// (0 = unclamped) and to 64.  Throws std::invalid_argument when
+  /// num_shards is 0.
   static int resolve_shards(const SchedulerConfig& cfg, int max_useful);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -180,7 +178,6 @@ class SimDomain {
   core::Capability publish_;  ///< padded next-event slots
   core::Capability serial_;   ///< lockstep clock + end-of-cycle state
 
-  SchedulerConfig cfg_;
   std::vector<std::unique_ptr<Scheduler>> shards_;
   std::uint64_t order_counter_ = 0;
 

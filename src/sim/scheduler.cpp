@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <ostream>
 #include <stdexcept>
 
 namespace medea::sim {
@@ -24,42 +23,12 @@ void Component::wake(Cycle delta) {
   sched_.wake_at(*this, sched_.now() + delta);
 }
 
-Scheduler::Scheduler(const SchedulerConfig& cfg) : cfg_(cfg) {
-  if (cfg_.ring_bits == 0) {
-    // Auto-size from the caller's horizon hint: the smallest ring
-    // covering twice the hint (slack for jitter), the former fixed
-    // default when no hint was given.
-    cfg_.ring_bits =
-        cfg_.horizon_hint == 0
-            ? 10
-            : static_cast<std::uint32_t>(std::bit_width(cfg_.horizon_hint)) + 1;
-  }
-  cfg_.ring_bits = std::clamp<std::uint32_t>(cfg_.ring_bits, 6, 20);
-  // A sharded config reaching a plain Scheduler is the single-shard
-  // fallback (full-system apps, the XY baseline, shard schedulers
-  // themselves): it runs the calendar kernel.
-  use_calendar_ = cfg_.queue != SchedulerConfig::EventQueue::kBinaryHeap;
+Scheduler::Scheduler(const SchedulerConfig& cfg)
+    : use_calendar_(cfg.queue == SchedulerConfig::EventQueue::kCalendar) {
   if (use_calendar_) {
-    ring_bits_chosen_ = cfg_.ring_bits;
-    const std::size_t ring_size = std::size_t{1} << cfg_.ring_bits;
-    ring_mask_ = ring_size - 1;
-    ring_.resize(ring_size);
-    ring_bitmap_.resize(ring_size / 64, 0);
+    ring_.resize(kRingCycles);
+    ring_bitmap_.resize(kRingCycles / 64, 0);
   }
-}
-
-std::uint32_t Scheduler::suggested_ring_bits(double coverage) const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t n : horizon_hist_) total += n;
-  if (total == 0) return 6;
-  const auto target = static_cast<std::uint64_t>(
-      coverage * static_cast<double>(total));
-  std::uint64_t seen = 0;
-  for (std::uint32_t b = 0; b < horizon_hist_.size(); ++b) {
-    seen += horizon_hist_[b];
-    if (seen >= target) return std::clamp<std::uint32_t>(b, 6, 20);
-  }
-  return 20;
 }
 
 Scheduler::~Scheduler() = default;
@@ -99,7 +68,7 @@ void Scheduler::release_node(detail::WakeNode* n) {
 
 void Scheduler::push_bucket(Component& c, Cycle at) {
   detail::WakeNode* n = acquire_node(c);
-  const std::size_t slot = static_cast<std::size_t>(at) & ring_mask_;
+  const std::size_t slot = static_cast<std::size_t>(at) & kRingMask;
   Bucket& b = ring_[slot];
   if (b.tail == nullptr) {
     b.head = b.tail = n;
@@ -140,14 +109,10 @@ void Scheduler::wake_at(Component& c, Cycle at) {
     return;
   }
   c.last_wake_cycle_ = at;
-  // Wake-horizon histogram (ring auto-sizing calibration): one
-  // bit_width per surviving push, far off the critical path next to the
-  // queue insert below.
-  ++horizon_hist_[std::bit_width(at - now_)];
   // Route by horizon: wakes within the calendar ring become an O(1)
   // bucket append; anything further out (or the whole load, under the
   // legacy kernel) goes through the binary heap.
-  if (use_calendar_ && at - now_ <= ring_mask_) {
+  if (use_calendar_ && at - now_ <= kRingMask) {
     push_bucket(c, at);
   } else {
     push_heap(c, at);
@@ -162,11 +127,11 @@ Cycle Scheduler::next_ring_cycle() const {
   // it in the starting word belong to the wrapped far end and are
   // checked last.
   const std::size_t nwords = ring_bitmap_.size();
-  const std::size_t base = static_cast<std::size_t>(now_ & ring_mask_);
+  const std::size_t base = static_cast<std::size_t>(now_ & kRingMask);
   const std::size_t w0 = base >> 6;
   const unsigned shift = static_cast<unsigned>(base & 63);
   const auto cycle_of = [&](std::size_t bit) {
-    return now_ + ((bit - base) & ring_mask_);
+    return now_ + ((bit - base) & kRingMask);
   };
   std::uint64_t word = ring_bitmap_[w0] & (~std::uint64_t{0} << shift);
   if (word != 0) {
@@ -193,7 +158,7 @@ Cycle Scheduler::next_ring_cycle() const {
 }
 
 void Scheduler::drain_bucket(Cycle t) {
-  const std::size_t slot = static_cast<std::size_t>(t) & ring_mask_;
+  const std::size_t slot = static_cast<std::size_t>(t) & kRingMask;
   Bucket& b = ring_[slot];
   detail::WakeNode* n = b.head;
   if (n == nullptr) return;

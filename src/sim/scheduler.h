@@ -1,9 +1,7 @@
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <queue>
 #include <string>
@@ -30,7 +28,7 @@
 ///
 /// Event-queue structure (SchedulerConfig): almost every wake in this
 /// model targets `now+1` (FIFO commits, self-re-arming engines), so the
-/// default kernel is a hierarchical calendar queue — a power-of-two ring
+/// default kernel is a hierarchical calendar queue — a 1024-cycle ring
 /// of per-cycle buckets, each an intrusive singly-linked list threaded
 /// through the components themselves, making the dominant wake an O(1)
 /// pointer bump with zero allocation.  Far-future wakes (DDR-scale
@@ -134,8 +132,6 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  const SchedulerConfig& config() const { return cfg_; }
-
   Cycle now() const { return now_; }
 
   /// Total cycles in which at least one component ticked.
@@ -155,30 +151,12 @@ class Scheduler {
   /// absorbed by the push-time dedup (never reached a queue).
   std::uint64_t wake_requests() const { return wake_requests_; }
   std::uint64_t wakes_deduped() const { return wakes_deduped_; }
-  std::uint64_t heap_pushes() const { return wake_requests_ - wakes_deduped_; }
 
   /// Where the surviving pushes landed: calendar-ring buckets (the O(1)
   /// near-future fast path) vs the overflow binary heap.  In the legacy
   /// kBinaryHeap kernel every push counts as an overflow push.
   std::uint64_t bucket_pushes() const { return bucket_pushes_; }
   std::uint64_t overflow_pushes() const { return overflow_pushes_; }
-
-  /// Effective log2 ring size after clamping / auto-sizing (0 under the
-  /// kBinaryHeap kernel, which has no ring).
-  std::uint32_t ring_bits_chosen() const { return ring_bits_chosen_; }
-
-  /// Observed wake-horizon histogram: bucket k counts surviving pushes
-  /// whose horizon (at - now) had bit_width k, i.e. fell in
-  /// [2^(k-1), 2^k); bucket 0 counts zero-horizon pushes (at == now,
-  /// legal between runs).  The basis for ring auto-sizing calibration.
-  const std::array<std::uint64_t, 65>& wake_horizon_histogram() const {
-    return horizon_hist_;
-  }
-
-  /// Smallest ring_bits (clamped to [6, 20]) whose ring would have
-  /// absorbed at least `coverage` of the observed wake horizons — what
-  /// SchedulerConfig::horizon_hint should be tuned toward.
-  std::uint32_t suggested_ring_bits(double coverage = 0.999) const;
 
   /// Register a staged object for commit at the end of the current cycle.
   /// Idempotent per cycle only if the caller guards; cheap either way.
@@ -270,11 +248,6 @@ class Scheduler {
   }
   std::uint64_t next_component_order() { return (*order_counter_)++; }
 
-  /// Optional trace sink; null disables tracing.
-  void set_trace(std::ostream* os) { trace_ = os; }
-  std::ostream* trace() const { return trace_; }
-  bool tracing() const { return trace_ != nullptr; }
-
  private:
   struct Event {
     Cycle cycle;
@@ -300,9 +273,12 @@ class Scheduler {
   Cycle next_ring_cycle() const;
   void drain_bucket(Cycle t);
 
-  SchedulerConfig cfg_;
+  /// Calendar ring length: a wake less than this many cycles ahead lands
+  /// in a bucket, anything further out in the overflow heap.
+  static constexpr std::size_t kRingCycles = 1024;
+  static constexpr std::size_t kRingMask = kRingCycles - 1;
+
   bool use_calendar_ = true;
-  std::uint32_t ring_bits_chosen_ = 0;
   Cycle now_ = 0;
   bool dispatching_ = false;
   bool stop_requested_ = false;
@@ -316,16 +292,14 @@ class Scheduler {
   std::uint64_t overflow_pushes_ = 0;
   std::uint64_t commit_pushes_ = 0;
   std::uint64_t commits_deduped_ = 0;
-  std::array<std::uint64_t, 65> horizon_hist_{};
 
   // Telemetry hook: hook_next_ is kNeverCycle whenever hook_ is null, so
   // the disabled case is a single always-false compare in run().
   CycleHook* hook_ = nullptr;
   Cycle hook_next_ = kNeverCycle;
 
-  // Calendar tier: ring of buckets indexed by (cycle & ring_mask_), an
+  // Calendar tier: ring of buckets indexed by (cycle & kRingMask), an
   // occupancy bitmap for next-event scans, and the spill-node pool.
-  std::size_t ring_mask_ = 0;
   std::size_t ring_count_ = 0;  ///< nodes currently linked in buckets
   std::vector<Bucket> ring_;
   std::vector<std::uint64_t> ring_bitmap_;
@@ -338,7 +312,6 @@ class Scheduler {
   std::vector<Committable*> commit_list_;
   std::vector<Committable*> commit_batch_;
   std::vector<Component*> dispatch_batch_;
-  std::ostream* trace_ = nullptr;
 };
 
 }  // namespace medea::sim

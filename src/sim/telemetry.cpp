@@ -63,37 +63,11 @@ void Sampler::add_gauge(std::string name,
   probes_.push_back({std::move(name), false, std::move(probe)});
 }
 
-void Sampler::attach(sim::Scheduler& sched) {
-  sched_ = &sched;
-  sim::Scheduler* s = &sched;
-  add_counter("sched.wake_requests", [s] { return s->wake_requests(); });
-  add_counter("sched.wakes_deduped", [s] { return s->wakes_deduped(); });
-  add_counter("sched.bucket_pushes", [s] { return s->bucket_pushes(); });
-  add_counter("sched.overflow_pushes", [s] { return s->overflow_pushes(); });
-  add_counter("sched.commit_pushes", [s] { return s->commit_pushes(); });
-  add_counter("sched.commits_deduped", [s] { return s->commits_deduped(); });
-  add_counter("sched.active_cycles", [s] { return s->active_cycles(); });
-  add_gauge("sched.queued",
-            [s] { return static_cast<std::uint64_t>(s->queued()); });
-  add_gauge("sched.ring_bits",
-            [s] { return static_cast<std::uint64_t>(s->ring_bits_chosen()); });
-  // First boundary at one full window, then on_cycle self-paces.  A
-  // sample_every of 0 means "manual snapshots only": never hook.
-  if (every_ > 0) sched.set_cycle_hook(this, every_);
-}
-
 void Sampler::attach(sim::SimDomain& dom) {
-  if (!dom.sharded()) {
-    // Single-shard fallback: identical wiring (and identical series) to
-    // a plain scheduler.
-    attach(dom.shard(0));
-    return;
-  }
   dom_ = &dom;
   sim::SimDomain* d = &dom;
-  // The same kernel pressure series, summed across shards.  The
-  // wake/dedup/active sums are bit-identical to the single-thread
-  // kernels; the bucket/overflow/commit series are kernel-dependent
+  // The wake/dedup/active sums are bit-identical across kernels and
+  // shard counts; the bucket/overflow/commit series are kernel-dependent
   // (they already differ between calendar and heap).
   add_counter("sched.wake_requests", [d] { return d->wake_requests(); });
   add_counter("sched.wakes_deduped", [d] { return d->wakes_deduped(); });
@@ -104,9 +78,8 @@ void Sampler::attach(sim::SimDomain& dom) {
   add_counter("sched.active_cycles", [d] { return d->active_cycles(); });
   add_gauge("sched.queued",
             [d] { return static_cast<std::uint64_t>(d->queued()); });
-  add_gauge("sched.ring_bits", [d] {
-    return static_cast<std::uint64_t>(d->shard(0).ring_bits_chosen());
-  });
+  // First boundary at one full window, then on_cycle self-paces.  A
+  // sample_every of 0 means "manual snapshots only": never hook.
   if (every_ > 0) dom.set_cycle_hook(this, every_);
 }
 
@@ -171,10 +144,6 @@ void Sampler::finish(sim::Cycle end) {
     snapshot(end);
   }
   finished_ = true;
-  if (sched_ != nullptr) {
-    sched_->set_cycle_hook(nullptr);
-    sched_ = nullptr;
-  }
   if (dom_ != nullptr) {
     dom_->set_cycle_hook(nullptr);
     dom_ = nullptr;

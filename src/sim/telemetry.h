@@ -90,9 +90,9 @@ struct Timeline {
 ///
 ///   telemetry::Sampler sampler(1024);
 ///   sampler.add_stats("", net.stats());     // every counter + accumulator
-///   sampler.attach(sched);                  // sched.* probes + cycle hook
+///   sampler.attach(dom);                    // sched.* probes + cycle hook
 ///   ... run the simulation ...
-///   sampler.finish(sched.now());            // tail window + detach
+///   sampler.finish(dom.now());              // tail window + detach
 ///   const telemetry::Timeline& tl = sampler.timeline();
 ///
 /// StatSet sources are walked by reference at snapshot time, so
@@ -116,17 +116,13 @@ class Sampler final : public sim::CycleHook {
   void add_counter(std::string name, std::function<std::uint64_t()> probe);
   void add_gauge(std::string name, std::function<std::uint64_t()> probe);
 
-  /// Hook this sampler into the scheduler's run loop and register the
-  /// kernel's own pressure series: sched.wake_requests/wakes_deduped/
-  /// bucket_pushes/overflow_pushes/commit_pushes/commits_deduped
-  /// (cumulative) and sched.queued/ring_bits (gauges).
-  void attach(sim::Scheduler& sched);
-
-  /// Same wiring over a sharded simulation domain: the pressure series
-  /// are summed across shards and the hook fires from the domain's
+  /// Hook this sampler into the domain's run loop and register the
+  /// kernel's own pressure series, summed across shards:
+  /// sched.wake_requests/wakes_deduped/bucket_pushes/overflow_pushes/
+  /// commit_pushes/commits_deduped/active_cycles (cumulative) and
+  /// sched.queued (gauge).  On a sharded domain the hook fires from the
   /// serial phase (after the per-shard stat merge), so sampled sharded
-  /// runs stay deterministic.  Falls through to the Scheduler overload
-  /// for single-shard domains.
+  /// runs stay deterministic.
   void attach(sim::SimDomain& dom);
 
   /// CycleHook: snapshot and return the next sample boundary.
@@ -162,7 +158,6 @@ class Sampler final : public sim::CycleHook {
               std::size_t window);
 
   sim::Cycle every_;
-  sim::Scheduler* sched_ = nullptr;
   sim::SimDomain* dom_ = nullptr;
   bool finished_ = false;
   std::vector<StatSource> stat_sources_;

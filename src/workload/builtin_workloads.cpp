@@ -80,10 +80,9 @@ class JacobiWorkload final : public Workload {
   RunResult run(const RunRequest& req, RunContext& ctx) const override {
     const AppParams ap = section_or_default(req.app);
     core::MedeaConfig cfg = req.machine;
-    cfg.workload = name_;
     cfg.seed = req.seed;
     core::MedeaSystem sys(cfg);
-    if (noc::FlitObserver* o = ctx.observer()) sys.network().set_observer(o);
+    if (noc::FlitObserver* o = ctx.observer) sys.network().set_observer(o);
     ScopedTelemetry telemetry(ctx, sys.domain(), sys.network().stats());
     add_memory_telemetry(telemetry, sys);
 
@@ -127,10 +126,9 @@ class ReductionWorkload final : public Workload {
   RunResult run(const RunRequest& req, RunContext& ctx) const override {
     const AppParams ap = section_or_default(req.app);
     core::MedeaConfig cfg = req.machine;
-    cfg.workload = name_;
     cfg.seed = req.seed;
     core::MedeaSystem sys(cfg);
-    if (noc::FlitObserver* o = ctx.observer()) sys.network().set_observer(o);
+    if (noc::FlitObserver* o = ctx.observer) sys.network().set_observer(o);
     ScopedTelemetry telemetry(ctx, sys.domain(), sys.network().stats());
     add_memory_telemetry(telemetry, sys);
 
@@ -228,7 +226,7 @@ class SyntheticWorkload final : public Workload {
                                            req.seed);
     }
     const std::string prefix = xy ? "xynoc." : "noc.";
-    if (noc::FlitObserver* o = ctx.observer()) net->set_observer(o);
+    if (noc::FlitObserver* o = ctx.observer) net->set_observer(o);
 
     ScopedTelemetry telemetry(ctx, dom, net->stats());
     RunResult r;
@@ -281,10 +279,9 @@ class AlltoallWorkload final : public Workload {
   RunResult run(const RunRequest& req, RunContext& ctx) const override {
     const AppParams ap = section_or_default(req.app);
     core::MedeaConfig cfg = req.machine;
-    cfg.workload = name();
     cfg.seed = req.seed;
     core::MedeaSystem sys(cfg);
-    if (noc::FlitObserver* o = ctx.observer()) sys.network().set_observer(o);
+    if (noc::FlitObserver* o = ctx.observer) sys.network().set_observer(o);
     ScopedTelemetry telemetry(ctx, sys.domain(), sys.network().stats());
     add_memory_telemetry(telemetry, sys);
 
@@ -359,7 +356,7 @@ class ReplayWorkload final : public Workload {
       net = std::make_unique<noc::Network>(dom, geom, req.machine.router,
                                            trace.meta.seed);
     }
-    if (noc::FlitObserver* o = ctx.observer()) net->set_observer(o);
+    if (noc::FlitObserver* o = ctx.observer) net->set_observer(o);
     ScopedTelemetry telemetry(ctx, dom, net->stats());
     const ReplayResult res =
         run_replay(dom, *net, trace, kReplayLimit, rp.force_config);

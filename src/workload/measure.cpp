@@ -7,19 +7,16 @@
 namespace medea::workload {
 
 MeasurementController::MeasurementController(const MeasurementParams& params,
-                                             int num_nodes,
-                                             noc::FlitObserver* forward)
-    : params_(params), num_nodes_(num_nodes), forward_(forward) {}
+                                             int num_nodes)
+    : params_(params), num_nodes_(num_nodes) {}
 
-void MeasurementController::on_inject(sim::Cycle now, int node,
+void MeasurementController::on_inject(sim::Cycle /*now*/, int /*node*/,
                                       const noc::Flit& f) {
-  if (forward_ != nullptr) forward_->on_inject(now, node, f);
   if (in_window(f.inject_cycle)) ++injected_;
 }
 
-void MeasurementController::on_deliver(sim::Cycle now, int node,
+void MeasurementController::on_deliver(sim::Cycle now, int /*node*/,
                                        const noc::Flit& f) {
-  if (forward_ != nullptr) forward_->on_deliver(now, node, f);
   const std::uint64_t latency = now - f.inject_cycle;
   probe_sum_ += static_cast<double>(latency);
   ++probe_count_;

@@ -107,14 +107,12 @@ struct MeasurementResult {
 
 /// FlitObserver that streams per-flit latencies into a histogram,
 /// classifying each flit by its inject cycle against the current
-/// measurement window.  Forwards every event to an optional secondary
-/// observer first, so recording a trace and measuring it are one run.
+/// measurement window.  Put it in a noc::FlitObserverTee next to a
+/// TraceRecorder so recording a trace and measuring it are one run.
 class MeasurementController final : public noc::FlitObserver {
  public:
-  /// `num_nodes` normalizes throughput; `forward` (optional) receives
-  /// every event untouched (e.g. a TraceRecorder).
-  MeasurementController(const MeasurementParams& params, int num_nodes,
-                        noc::FlitObserver* forward = nullptr);
+  /// `num_nodes` normalizes throughput.
+  MeasurementController(const MeasurementParams& params, int num_nodes);
 
   void on_inject(sim::Cycle now, int node, const noc::Flit& f) override;
   void on_deliver(sim::Cycle now, int node, const noc::Flit& f) override;
@@ -152,7 +150,6 @@ class MeasurementController final : public noc::FlitObserver {
 
   MeasurementParams params_;
   int num_nodes_;
-  noc::FlitObserver* forward_;
 
   sim::Cycle warmup_end_ = 0;                 // window opens after this
   sim::Cycle measure_end_ = sim::kNeverCycle;  // open until closed
@@ -172,7 +169,7 @@ class MeasurementController final : public noc::FlitObserver {
 
 /// Drive one phased (warmup -> measure -> drain) synthetic-traffic run
 /// on `net`.  Endpoints run with unlimited budget, each on its node's
-/// shard; `mc` must be the observer already attached to `net`.  On a
+/// shard; `mc` must already receive `net`'s observer events.  On a
 /// sharded domain observer events reach `mc` from the serial flush in
 /// canonical order, and every flush owed for a phase has happened by
 /// the time SimDomain::run() returns, so window boundaries land on

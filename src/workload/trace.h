@@ -20,7 +20,7 @@
 /// tie-breaks replay bit-identically) and the wire-encoded flit word
 /// (Fig. 5 payload tag).  Replaying a trace re-injects exactly these
 /// flits at exactly these cycles into a bare NoC — no PEs, caches or
-/// coroutines — which is the fast-forward mode the DSE sweeps use
+/// coroutines — the fast-forward mode for NoC-centric studies
 /// (trace-driven replay in the Graphite tradition).
 ///
 /// On-disk format, little-endian:

@@ -169,24 +169,16 @@ RunResult run_workload(const Workload& w, const RunRequest& req,
     tracer->finalize(r.cycles);
     r.flit_trace = tracer->take();
   };
-  // When tracing, every observer hangs off one tee (events arrive in
-  // add() order: controller, caller's observer, tracer — the same order
-  // the measurement controller's forward chain produced).  Without a
-  // tracer the pre-existing single-chain wiring is kept as-is.
+  // Every observer hangs off one tee; events arrive in add() order:
+  // controller, caller's observer, tracer.
   std::optional<MeasurementController> mc;
-  if (measuring) {
-    mc.emplace(req.measurement, width * height,
-               tracing ? nullptr : observer);
-  }
+  if (measuring) mc.emplace(req.measurement, width * height);
   noc::FlitObserverTee tee;
-  RunContext ctx{observer, mc ? &*mc : nullptr,
+  if (mc) tee.add(&*mc);
+  tee.add(observer);
+  if (tracer) tee.add(&*tracer);
+  RunContext ctx{tee.empty() ? nullptr : &tee, mc ? &*mc : nullptr,
                  sampler ? &*sampler : nullptr};
-  if (tracing) {
-    if (mc) tee.add(&*mc);
-    tee.add(observer);
-    tee.add(&*tracer);
-    ctx.fabric_override = &tee;
-  }
   RunResult r = w.run(req, ctx);
   if (mc) {
     // Whole-run mode: the window is the entire run.  Phased runs were
@@ -202,10 +194,6 @@ RunResult run_workload(const Workload& w, const RunRequest& req,
 RunResult run_by_name(const std::string& name, const RunRequest& req,
                       noc::FlitObserver* observer) {
   return run_workload(WorkloadRegistry::instance().at(name), req, observer);
-}
-
-RunResult run_configured(const RunRequest& req, noc::FlitObserver* observer) {
-  return run_by_name(req.machine.workload, req, observer);
 }
 
 Trace record_workload(const std::string& name, const RunRequest& req,

@@ -169,29 +169,15 @@ struct RunResult {
   telemetry::FlitTrace flit_trace;
 };
 
-/// Per-run plumbing handed to Workload::run() by the engine: the
-/// caller's observer (e.g. a TraceRecorder) and, when measurement is
-/// on, the controller already chained in front of it.  Workloads attach
-/// observer() to their NoC; phased synthetic runs drive the controller
-/// directly.
+/// Per-run plumbing handed to Workload::run() by the engine.  Workloads
+/// attach `observer` to their NoC: a FlitObserverTee over the
+/// measurement controller, the caller's observer (e.g. a TraceRecorder)
+/// and the flit tracer, or null when the run observes nothing.  Phased
+/// synthetic runs drive `measure` directly.
 struct RunContext {
-  noc::FlitObserver* raw_observer = nullptr;
-  MeasurementController* measure = nullptr;
-  telemetry::Sampler* sampler = nullptr;  ///< non-null when sampling is on
-
-  /// Set by the engine when more than a single chain of observers must
-  /// see the fabric (e.g. measurement + recorder + flit tracer composed
-  /// through a FlitObserverTee); overrides the default choice below.
-  noc::FlitObserver* fabric_override = nullptr;
-
-  /// What to hang on the fabric: the engine's tee when set, else the
-  /// controller when measuring (it forwards to raw_observer), else the
-  /// raw observer.
-  noc::FlitObserver* observer() const {
-    if (fabric_override != nullptr) return fabric_override;
-    return measure != nullptr ? static_cast<noc::FlitObserver*>(measure)
-                              : raw_observer;
-  }
+  noc::FlitObserver* observer = nullptr;
+  MeasurementController* measure = nullptr;  ///< non-null when measuring
+  telemetry::Sampler* sampler = nullptr;     ///< non-null when sampling
 
   /// Registers the stats with the sampler and hooks it into the
   /// domain's cycle loop (which also adds the sched.* pressure series,
@@ -317,8 +303,8 @@ class WorkloadRegistry {
 };
 
 /// Run `w` with a validated request: checks the request against the
-/// workload kind, chains a MeasurementController in front of `observer`
-/// when measurement is on, runs, and finalizes the measurement into the
+/// workload kind, puts a MeasurementController next to `observer` when
+/// measurement is on, runs, and finalizes the measurement into the
 /// result.
 RunResult run_workload(const Workload& w, const RunRequest& req,
                        noc::FlitObserver* observer = nullptr);
@@ -328,16 +314,12 @@ RunResult run_workload(const Workload& w, const RunRequest& req,
 RunResult run_by_name(const std::string& name, const RunRequest& req,
                       noc::FlitObserver* observer = nullptr);
 
-/// Run the workload selected by req.machine.workload.
-RunResult run_configured(const RunRequest& req,
-                         noc::FlitObserver* observer = nullptr);
-
 /// Record workload `name` into a trace: run it once with a recorder on
 /// the NoC, sized and described via the workload's noc_dims()/
 /// net_config().  The header captures geometry, fabric config, seed and
 /// cycle count.  `result` (optional) receives the run's RunResult —
-/// including its measurement, since the recorder chains behind the
-/// controller.
+/// including its measurement, since the recorder and the controller see
+/// the same events.
 Trace record_workload(const std::string& name, const RunRequest& req,
                       RunResult* result = nullptr);
 

@@ -1,6 +1,7 @@
 #include "workload/xform/transform.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -84,7 +85,7 @@ RemapNodes::RemapNodes(int new_width, int new_height, RemapMode mode)
   if (new_width < 1 || new_height < 1) {
     throw std::invalid_argument("RemapNodes: target dims must be >= 1");
   }
-  if (new_width * new_height > 256) {
+  if (static_cast<std::int64_t>(new_width) * new_height > 256) {
     throw std::invalid_argument(
         "RemapNodes: target fabric exceeds 256 nodes (8-bit wire SRCID)");
   }

@@ -1,7 +1,7 @@
-# One run_workload invocation checked against the CLI contract: its exit
+# One example-CLI invocation checked against the CLI contract: its exit
 # code, and a regular expression its stderr must match.
 #
-#   cmake -DCLI=<run_workload> "-DARGS=<args>" -DEXPECT_EXIT=<code>
+#   cmake -DCLI=<binary> "-DARGS=<args>" -DEXPECT_EXIT=<code>
 #         [-DEXPECT_STDERR=<regex>] -P cli_contract.cmake
 #
 # ARGS is one space-separated string (split with UNIX shell rules).
@@ -14,10 +14,10 @@ execute_process(
   ERROR_VARIABLE err
   TIMEOUT 120)
 if(NOT rc STREQUAL "${EXPECT_EXIT}")
-  message(FATAL_ERROR "run_workload ${ARGS}: exit ${rc}, expected "
+  message(FATAL_ERROR "${CLI} ${ARGS}: exit ${rc}, expected "
     "${EXPECT_EXIT}\nstdout:\n${out}\nstderr:\n${err}")
 endif()
 if(DEFINED EXPECT_STDERR AND NOT err MATCHES "${EXPECT_STDERR}")
-  message(FATAL_ERROR "run_workload ${ARGS}: stderr does not match "
+  message(FATAL_ERROR "${CLI} ${ARGS}: stderr does not match "
     "'${EXPECT_STDERR}'\nstderr:\n${err}")
 endif()

@@ -104,9 +104,10 @@ TEST(MeasurementController, ClassifiesFlitsByInjectCycle) {
   EXPECT_DOUBLE_EQ(r.accepted_throughput, 0.4);
 }
 
-/// The controller forwards every event — including out-of-window ones —
-/// to the secondary observer, so a chained TraceRecorder sees the whole
-/// run and recorded traces are identical with or without measurement.
+/// A tee next to the controller forwards every event — including
+/// out-of-window ones — to the secondary observer, so a TraceRecorder
+/// sees the whole run and recorded traces are identical with or without
+/// measurement.
 TEST(MeasurementController, ForwardsAllEventsToSecondaryObserver) {
   struct Counter final : noc::FlitObserver {
     int injects = 0;
@@ -117,15 +118,17 @@ TEST(MeasurementController, ForwardsAllEventsToSecondaryObserver) {
     }
   } counter;
 
-  workload::MeasurementController mc(workload::MeasurementParams{}, 1,
-                                     &counter);
+  workload::MeasurementController mc(workload::MeasurementParams{}, 1);
+  noc::FlitObserverTee tee;
+  tee.add(&mc);
+  tee.add(&counter);
   mc.begin_window(5);
-  mc.on_inject(2, 0, flit_at(1, 2));    // before window
-  mc.on_inject(6, 0, flit_at(2, 6));    // inside
+  tee.on_inject(2, 0, flit_at(1, 2));   // before window
+  tee.on_inject(6, 0, flit_at(2, 6));   // inside
   mc.end_window(10);
-  mc.on_inject(11, 0, flit_at(3, 11));  // after
-  mc.on_deliver(9, 0, flit_at(2, 6));
-  mc.on_deliver(12, 0, flit_at(3, 11));
+  tee.on_inject(11, 0, flit_at(3, 11));  // after
+  tee.on_deliver(9, 0, flit_at(2, 6));
+  tee.on_deliver(12, 0, flit_at(3, 11));
 
   EXPECT_EQ(counter.injects, 3);
   EXPECT_EQ(counter.delivers, 2);

@@ -437,7 +437,6 @@ TEST(FabricInvariants, NodeUidExhaustionThrows) {
 
 TEST(FabricInvariants, XyFabricRejectsShardedDomain) {
   sim::SchedulerConfig cfg;
-  cfg.queue = sim::SchedulerConfig::EventQueue::kShardedCalendar;
   cfg.num_shards = 2;
   sim::SimDomain dom(cfg, 4);
   ASSERT_TRUE(dom.sharded());

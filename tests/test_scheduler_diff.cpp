@@ -46,8 +46,13 @@ SchedulerConfig legacy_cfg() {
 
 SchedulerConfig sharded_cfg(int shards) {
   SchedulerConfig cfg;
-  cfg.queue = SchedulerConfig::EventQueue::kShardedCalendar;
   cfg.num_shards = shards;
+  return cfg;
+}
+
+SchedulerConfig sharded_heap_cfg() {
+  SchedulerConfig cfg = legacy_cfg();
+  cfg.num_shards = 2;
   return cfg;
 }
 
@@ -134,12 +139,12 @@ void expect_runs_identical(const KernelRun& ref, const KernelRun& other,
 }
 
 /// Run `name` once per kernel — calendar (the reference), legacy heap,
-/// and the sharded parallel kernel at 2 and 3 shards — with identical
-/// params, and assert the runs are indistinguishable: cycle count,
-/// headline metric, flit totals, aggregate stats and the raw per-flit
-/// delivery log.  Models that cannot shard (apps, the XY fabric) take
-/// the transparent single-thread fallback under the sharded configs,
-/// which must also be bit-identical.
+/// the calendar kernel sharded 2 and 3 ways, and the heap kernel
+/// sharded 2 ways — with identical params, and assert the runs are
+/// indistinguishable: cycle count, headline metric, flit totals,
+/// aggregate stats and the raw per-flit delivery log.  Models that
+/// cannot shard (apps, the XY fabric) take the transparent single-thread
+/// fallback under the sharded configs, which must also be bit-identical.
 void check_workload_identical(const std::string& name,
                               const workload::RunRequest& base) {
   const KernelRun ref = run_kernel(name, base, calendar_cfg());
@@ -150,6 +155,8 @@ void check_workload_identical(const std::string& name,
         ref, run_kernel(name, base, sharded_cfg(shards)),
         name + " [sharded x" + std::to_string(shards) + "]");
   }
+  expect_runs_identical(ref, run_kernel(name, base, sharded_heap_cfg()),
+                        name + " [heap sharded x2]");
 }
 
 TEST(SchedulerDiff, EveryRegistryWorkloadIsBitIdentical) {
@@ -316,28 +323,6 @@ TEST(SchedulerDiff, RandomizedWakeTortureIsBitIdentical) {
   EXPECT_EQ(std::get<2>(cal), std::get<2>(heap));
   EXPECT_EQ(std::get<3>(cal), std::get<3>(heap));
   EXPECT_EQ(std::get<4>(cal), std::get<4>(heap));
-}
-
-TEST(SchedulerDiff, TinyRingMatchesLegacyAcrossWraps) {
-  // The smallest permitted ring (64 cycles) forces constant wrap-around
-  // and heavy overflow migration pressure; behaviour must not change.
-  SchedulerConfig tiny = calendar_cfg();
-  tiny.ring_bits = 6;
-
-  auto run_kernel = [](const SchedulerConfig& cfg) {
-    sim::Scheduler sched(cfg);
-    std::vector<std::pair<int, sim::Cycle>> trail;
-    std::vector<std::unique_ptr<ChaosComponent>> comps;
-    for (int i = 0; i < 4; ++i) {
-      comps.push_back(std::make_unique<ChaosComponent>(
-          sched, i, 42 + static_cast<std::uint64_t>(i), 300, &trail));
-      sched.wake_at(*comps.back(), 1);
-    }
-    EXPECT_TRUE(sched.run());
-    return std::pair{trail, sched.now()};
-  };
-
-  EXPECT_EQ(run_kernel(tiny), run_kernel(legacy_cfg()));
 }
 
 // ---------------------------------------------------------------------

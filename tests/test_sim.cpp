@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
+#include "sim/domain.h"
 #include "sim/fifo.h"
 #include "sim/frame_pool.h"
 #include "sim/rng.h"
@@ -66,7 +68,7 @@ TEST(Scheduler, DedupsDuplicateWakesAtPushTime) {
   sched.wake_at(r, 7);  // a different cycle is a fresh push
   EXPECT_EQ(sched.wake_requests(), 4u);
   EXPECT_EQ(sched.wakes_deduped(), 2u);
-  EXPECT_EQ(sched.heap_pushes(), 2u);
+  EXPECT_EQ(sched.bucket_pushes() + sched.overflow_pushes(), 2u);
   EXPECT_TRUE(sched.run());
   EXPECT_EQ(r.ticks, (std::vector<Cycle>{3, 7}));
 }
@@ -205,7 +207,7 @@ TEST(CalendarQueue, NearWakesLandInBucketsFarWakesOverflow) {
   sched.wake_at(r, 5'000'000);
   EXPECT_EQ(sched.bucket_pushes(), 2u);
   EXPECT_EQ(sched.overflow_pushes(), 2u);
-  EXPECT_EQ(sched.heap_pushes(),
+  EXPECT_EQ(sched.wake_requests() - sched.wakes_deduped(),
             sched.bucket_pushes() + sched.overflow_pushes());
   EXPECT_TRUE(sched.run());
   EXPECT_EQ(r.ticks, (std::vector<Cycle>{1, 1023, 1024, 5'000'000}));
@@ -231,43 +233,6 @@ TEST(CalendarQueue, RingWrapsAcrossManyRevolutions) {
   EXPECT_TRUE(sched.run());
   EXPECT_EQ(w.count, 10000);
   EXPECT_EQ(sched.now(), 9999u);
-}
-
-TEST(CalendarQueue, TinyRingStillCorrect) {
-  SchedulerConfig cfg;
-  cfg.ring_bits = 6;  // 64-cycle ring: every mid-range wake overflows
-  Scheduler sched(cfg);
-  Recorder r(sched, "r");
-  sched.wake_at(r, 10);
-  sched.wake_at(r, 63);
-  sched.wake_at(r, 64);   // overflow
-  sched.wake_at(r, 200);  // overflow
-  EXPECT_EQ(sched.bucket_pushes(), 2u);
-  EXPECT_EQ(sched.overflow_pushes(), 2u);
-  EXPECT_TRUE(sched.run());
-  EXPECT_EQ(r.ticks, (std::vector<Cycle>{10, 63, 64, 200}));
-}
-
-TEST(CalendarQueue, RingBitsAreClampedToSaneRange) {
-  SchedulerConfig cfg;
-  cfg.ring_bits = 1;
-  EXPECT_EQ(Scheduler(cfg).config().ring_bits, 6u);
-  cfg.ring_bits = 64;
-  EXPECT_EQ(Scheduler(cfg).config().ring_bits, 20u);
-}
-
-TEST(CalendarQueue, RingBitsZeroAutoSizesFromHorizonHint) {
-  SchedulerConfig cfg;
-  cfg.ring_bits = 0;
-  // No hint: the former fixed default.
-  EXPECT_EQ(Scheduler(cfg).config().ring_bits, 10u);
-  // A hint sizes the smallest ring covering twice the horizon.
-  cfg.horizon_hint = 5000;  // bit_width 13 -> 14 bits (16384 >= 2*5000)
-  EXPECT_EQ(Scheduler(cfg).config().ring_bits, 14u);
-  cfg.horizon_hint = 3;  // tiny hints still clamp up to the floor
-  EXPECT_EQ(Scheduler(cfg).config().ring_bits, 6u);
-  cfg.horizon_hint = ~std::uint64_t{0};  // huge hints clamp to the cap
-  EXPECT_EQ(Scheduler(cfg).config().ring_bits, 20u);
 }
 
 TEST(CalendarQueue, SameCycleDispatchFollowsConstructionOrder) {
@@ -331,6 +296,16 @@ TEST(CalendarQueue, IdleReflectsBothTiers) {
   EXPECT_FALSE(sched.idle());
   EXPECT_TRUE(sched.run());
   EXPECT_TRUE(sched.idle());
+}
+
+TEST(SimDomain, ShardCountIsClampedAndZeroIsRejected) {
+  SchedulerConfig cfg;
+  EXPECT_EQ(SimDomain::resolve_shards(cfg, 0), 1);  // default: one shard
+  cfg.num_shards = 1000;
+  EXPECT_EQ(SimDomain::resolve_shards(cfg, 0), 64);
+  EXPECT_EQ(SimDomain::resolve_shards(cfg, 4), 4);
+  cfg.num_shards = 0;
+  EXPECT_THROW(SimDomain dom(cfg), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------

@@ -13,7 +13,6 @@
 #include <tuple>
 #include <vector>
 
-#include "dse/sweep.h"
 #include "noc/network.h"
 #include "noc/xy_network.h"
 #include "sim/scheduler.h"
@@ -645,32 +644,8 @@ TEST(XyReplay, RegistryReplayRebuildsTheXyFabricFromTheHeader) {
 }
 
 // ---------------------------------------------------------------------
-// Rate-sweep plumbing + the full acceptance scenario
+// The full acceptance scenario
 // ---------------------------------------------------------------------
-
-TEST(RateSweep, SweepFansOutScaledReplays) {
-  const Trace t = record_workload("uniform", tiny_synth());
-  const std::string path = testing::TempDir() + "/medea_scale_sweep.bin";
-  save_trace(t, path);
-
-  dse::SweepSpec spec;
-  spec.workload = "replay";
-  spec.trace_path = path;
-  spec.trace_scales = {0.5, 1.0, 2.0};
-  spec.cores = {2};
-  spec.cache_kb = {2};
-  spec.policies = {mem::WritePolicy::kWriteBack};
-  spec.threads = 1;
-  const auto pts = dse::run_sweep(spec);
-  ASSERT_EQ(pts.size(), 3u);
-  EXPECT_EQ(pts[0].trace_scale, 0.5);
-  EXPECT_EQ(pts[2].trace_scale, 2.0);
-  EXPECT_NE(pts[0].label.find("_x0.5"), std::string::npos);
-  // Stretched (0.5x) replay takes longer than compressed (2x).
-  EXPECT_GT(pts[0].cycles_per_iteration, pts[2].cycles_per_iteration);
-  // Verbatim point matches the recording's last delivery exactly.
-  EXPECT_EQ(pts[1].label.find("_x"), std::string::npos);
-}
 
 TEST(Acceptance, JacobiTraceScalesRemapsMergesAndRoundTrips) {
   // Record the 4x4 jacobi trace on the deflection router.

@@ -1,7 +1,6 @@
 /// Tests for the workload engine: the registry (every scenario runnable
 /// by name, including on an 8x8 torus), the RunRequest API (validation,
-/// the deprecated flat-params shim), trace record/replay determinism,
-/// and registry-driven DSE sweeps.
+/// the deprecated flat-params shim) and trace record/replay determinism.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <tuple>
 #include <vector>
 
-#include "dse/sweep.h"
 #include "noc/network.h"
 #include "sim/scheduler.h"
 #include "workload/replay.h"
@@ -147,13 +145,6 @@ TEST(Registry, DisengagedSectionMeansDefaults) {
     EXPECT_GT(r.cycles, 0u) << name;
     EXPECT_GT(r.flits_delivered, 0u) << name;
   }
-}
-
-TEST(Registry, RunConfiguredUsesConfigWorkloadName) {
-  RunRequest req = tiny_synth();
-  req.machine.workload = "neighbor";
-  const RunResult r = run_configured(req);
-  EXPECT_EQ(r.flits_delivered, 16u * 50u);  // neighbor never self-addresses
 }
 
 TEST(Registry, SyntheticWorkloadsRunOnEightByEightTorus) {
@@ -477,89 +468,6 @@ TEST(TraceReplay, GeometryMismatchThrows) {
   sim::SimDomain dom(sim::SchedulerConfig{});
   noc::Network net(dom, noc::TorusGeometry(2, 2));
   EXPECT_THROW(TraceReplayer rep(net, t), std::runtime_error);
-}
-
-// ---------------------------------------------------------------------
-// Registry-driven sweeps
-// ---------------------------------------------------------------------
-
-TEST(SweepWorkloads, SweepRunsSyntheticWorkload) {
-  dse::SweepSpec spec;
-  spec.workload = "uniform";
-  spec.cores = {2, 3};
-  spec.cache_kb = {2};
-  spec.policies = {mem::WritePolicy::kWriteBack};
-  spec.threads = 1;
-  const auto pts = dse::run_sweep(spec);
-  ASSERT_EQ(pts.size(), 2u);
-  for (const auto& pt : pts) {
-    EXPECT_EQ(pt.workload, "uniform");
-    EXPECT_EQ(pt.metric_name, "avg_flit_latency");
-    EXPECT_GT(pt.cycles_per_iteration, 0.0);
-    EXPECT_GT(pt.area_mm2, 0.0);
-    // Non-load-axis points still collect whole-run latency.
-    EXPECT_GT(pt.measurement.latency.count, 0u);
-  }
-}
-
-TEST(SweepWorkloads, LoadAxisAddsPhasedMeasuredPoints) {
-  dse::SweepSpec spec;
-  spec.workload = "uniform";
-  spec.cores = {2};
-  spec.cache_kb = {2};
-  spec.policies = {mem::WritePolicy::kWriteBack};
-  spec.injection_rates = {0.05, 0.10};
-  spec.measurement.warmup_cycles = 200;
-  spec.measurement.measure_cycles = 512;
-  spec.threads = 1;
-  const auto pts = dse::run_sweep(spec);
-  ASSERT_EQ(pts.size(), 2u);
-  for (const auto& pt : pts) {
-    EXPECT_EQ(pt.metric_name, "measured_avg_flit_latency");
-    EXPECT_GT(pt.injection_rate, 0.0);
-    EXPECT_GT(pt.measurement.latency.count, 0u);
-    EXPECT_GT(pt.measurement.offered_load, 0.0);
-    EXPECT_NE(pt.label.find("_l"), std::string::npos) << pt.label;
-  }
-  // Twice the offered load: the fabric (far below saturation) accepts
-  // roughly twice the throughput.
-  EXPECT_GT(pts[1].measurement.accepted_throughput,
-            pts[0].measurement.accepted_throughput);
-}
-
-TEST(SweepWorkloads, SweepRunsTraceReplay) {
-  const Trace t = record_workload("hotspot", tiny_synth());
-  const std::string path = testing::TempDir() + "/medea_sweep_replay.bin";
-  save_trace(t, path);
-
-  dse::SweepSpec spec;
-  spec.workload = "replay";
-  spec.trace_path = path;
-  spec.cores = {2};
-  spec.cache_kb = {2};
-  spec.policies = {mem::WritePolicy::kWriteBack};
-  spec.threads = 1;
-  const auto pts = dse::run_sweep(spec);
-  ASSERT_EQ(pts.size(), 1u);
-  EXPECT_EQ(pts[0].workload, "replay");
-  EXPECT_EQ(pts[0].metric_name, "last_delivery_cycle");
-  EXPECT_GT(pts[0].cycles_per_iteration, 0.0);
-}
-
-TEST(SweepWorkloads, JacobiVariantMapsToRegistryName) {
-  dse::SweepSpec spec;
-  spec.workload = "jacobi";
-  spec.variant = apps::JacobiVariant::kPureSharedMemory;
-  spec.n = 8;
-  spec.cores = {2};
-  spec.cache_kb = {2};
-  spec.policies = {mem::WritePolicy::kWriteBack};
-  spec.threads = 1;
-  const auto pts = dse::run_sweep(spec);
-  ASSERT_EQ(pts.size(), 1u);
-  EXPECT_EQ(pts[0].workload, "jacobi-sm");
-  EXPECT_EQ(pts[0].metric_name, "cycles_per_iteration");
-  EXPECT_GT(pts[0].cycles_per_iteration, 0.0);
 }
 
 }  // namespace
