@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <tuple>
 
 #include "apps/jacobi.h"
 #include "core/system.h"
@@ -98,31 +99,43 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
     std::fflush(stderr);
   };
 
-  // One task per worker thread over a striped point range (worker t
-  // simulates points t, t+threads, t+2*threads, ...), not one async per
-  // point: each thread amortises its startup across its whole batch and
-  // keeps reusing its thread-local coroutine FramePool, warm from the
-  // first design point it simulated.  Striping interleaves the
-  // cores-major job order across workers so the expensive many-core
-  // points spread evenly.  out[i] is indexed by job, so result order
-  // stays deterministic regardless of scheduling.
-  auto worker = [&](std::size_t first) {
-    for (std::size_t i = first; i < jobs.size();
-         i += static_cast<std::size_t>(threads)) {
-      const Job& j = jobs[i];
-      out[i] = run_design_point(spec, j.cores, j.cache_kb, j.policy);
+  // Claim order, costliest first: a write-through point stalls on its
+  // write buffer and costs many times its write-back twin, and a small
+  // L1 misses more.  Handing those out first lets the cheap points fill
+  // the tail, so no worker is left with a run of expensive ones.  Ties
+  // keep job order.
+  std::vector<std::size_t> order(jobs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const auto cost_rank = [&jobs](std::size_t i) {
+    const Job& j = jobs[i];
+    return std::tuple(j.policy == mem::WritePolicy::kWriteThrough ? 0 : 1,
+                      j.cache_kb, i);
+  };
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return cost_rank(a) < cost_rank(b);
+  });
+
+  // One task per worker thread, not one async per point: each thread
+  // claims the next point in `order` from a shared counter until none
+  // is left, amortising its startup across every point it runs and
+  // reusing its thread-local coroutine FramePool, warm from its first
+  // point.  out[i] is indexed by job, so result order stays
+  // deterministic however the points were claimed.
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (std::size_t k = next++; k < order.size(); k = next++) {
+      const Job& j = jobs[order[k]];
+      out[order[k]] = run_design_point(spec, j.cores, j.cache_kb, j.policy);
       const std::size_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
       if (spec.progress) progress_line(d, false);
     }
   };
   if (threads == 1) {
-    worker(0);
+    worker();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back(worker, static_cast<std::size_t>(t));
-    }
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (auto& th : pool) th.join();
   }
   if (spec.progress) progress_line(jobs.size(), true);

@@ -64,11 +64,13 @@ core::MedeaConfig make_design_config(int cores, std::uint32_t cache_kb,
 SweepPoint run_design_point(const SweepSpec& spec, int cores,
                             std::uint32_t cache_kb, mem::WritePolicy policy);
 
-/// Run the full cross product (optionally multi-threaded).  Points are
-/// batched per worker thread (striped ranges, one task per thread) so a
+/// Run the full cross product (optionally multi-threaded).  Each worker
+/// thread claims points from a shared counter, costliest first
+/// (write-through before write-back, then ascending L1 size), so a
 /// thread amortises its spawn cost and its warm coroutine frame pool
-/// across every design point it simulates.  Result order is
-/// deterministic (cores-major, then cache, then policy).
+/// across every design point it simulates and the cheap points fill the
+/// tail.  Result order is deterministic (cores-major, then cache, then
+/// policy) whatever the thread count.
 std::vector<SweepPoint> run_sweep(const SweepSpec& spec);
 
 /// Convert sweep results to design points for Pareto analysis.

@@ -127,7 +127,10 @@ void Cache::invalidate_line(Addr addr) {
 }
 
 std::vector<Writeback> Cache::flush_all() {
+  std::size_t dirty = 0;
+  for (const Line& l : lines_) dirty += l.valid && l.dirty ? 1 : 0;
   std::vector<Writeback> out;
+  out.reserve(dirty);  // one allocation, not one per doubling
   for (Line& l : lines_) {
     if (l.valid && l.dirty) {
       out.push_back(Writeback{l.tag, l.data});

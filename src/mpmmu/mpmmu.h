@@ -12,6 +12,7 @@
 #include "mem/memory_map.h"
 #include "noc/network.h"
 #include "sim/fifo.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 #include "sim/stats.h"
 
@@ -132,7 +133,7 @@ class Mpmmu : public sim::Component {
   sim::Fifo<noc::Flit> data_q_;
   // The outgoing FIFO of the paper maps onto reply_q_ (engine side) plus
   // the router's inject queue (wire side).
-  std::deque<noc::Flit> reply_q_;
+  sim::Ring<noc::Flit> reply_q_;
 
   State state_ = State::kIdle;
   sim::Cycle busy_until_ = 0;

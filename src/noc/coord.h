@@ -88,7 +88,7 @@ class TorusGeometry {
     return c;
   }
 
-  /// Minimal hop count between two nodes on the torus.
+  /// Minimal hop count between two nodes on the torus (both on it).
   int distance(Coord a, Coord b) const {
     return axis_dist(a.x, b.x, w_) + axis_dist(a.y, b.y, h_);
   }
@@ -98,6 +98,7 @@ class TorusGeometry {
   /// one hop along it strictly reduces torus distance.  On an even ring
   /// at exactly half the circumference, both directions along that axis
   /// are productive; the deterministic listing order is E/W then S/N.
+  /// Both coordinates must lie on the torus (see wrap()).
   int productive_dirs(Coord from, Coord to, Dir out[4]) const {
     int n = 0;
     if (from.x != to.x) {
@@ -128,9 +129,18 @@ class TorusGeometry {
   }
 
  private:
-  static int wrap(int v, int m) { return ((v % m) + m) % m; }
+  /// v mod m for v in [-m, 2m), by one compare-and-add instead of a
+  /// division — this runs for every flit a router moves.  Every caller
+  /// passes a coordinate plus or minus one, or the difference of two
+  /// coordinates, and coordinates lie in [0, m): noc::Fabric bounds the
+  /// axes, traffic picks on-torus nodes, and trace replay checks the
+  /// recorded geometry and every payload dst.
+  static int wrap(int v, int m) {
+    if (v < 0) return v + m;
+    return v >= m ? v - m : v;
+  }
   static int axis_dist(int a, int b, int m) {
-    const int d = ((b - a) % m + m) % m;
+    const int d = wrap(b - a, m);
     return d < m - d ? d : m - d;
   }
 

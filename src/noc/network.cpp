@@ -80,13 +80,13 @@ class Network::ShardEventBuffer final : public FlitObserver {
   std::vector<Event> events_ MEDEA_GUARDED_BY(own_);
 };
 
-void Network::ShardChannel::relay(void* ctx, std::vector<Flit>& staged) {
+void Network::ShardChannel::relay(void* ctx, Flit&& f) {
   auto* ch = static_cast<ShardChannel*>(ctx);
   // Producer side of the mailbox handoff: the TX FIFO's commit, on the
   // producer shard, before the post-dispatch barrier.  The consumer
   // shard will not touch `mail` until after that barrier.
   ch->xfer.assert_held();
-  for (Flit& f : staged) ch->mail.push_back(std::move(f));
+  ch->mail.push_back(std::move(f));
 }
 
 Network::Network(sim::SimDomain& dom, const TorusGeometry& geom,

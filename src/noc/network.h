@@ -26,8 +26,8 @@
 /// what makes shard-ordered observer fan-in reproduce the canonical
 /// global event order bit-for-bit.  Per-shard StatSets keep the tick
 /// path race-free; stats() exposes the shard-merged aggregate, rebuilt
-/// by refresh_stats().  Deflection links never back-pressure
-/// (can_push() is an assert), so the relay split is timing-exact.  On a
+/// by refresh_stats().  Deflection links never back-pressure (a router
+/// never pushes onto a full link), so the relay split is timing-exact.  On a
 /// one-shard domain none of this exists and the build is exactly the
 /// single-thread one.
 
@@ -80,7 +80,7 @@ class Network final : public Fabric {
     core::Capability xfer;  ///< barrier-handed-off mailbox ownership
     sim::Fifo<Flit>* rx = nullptr;
     std::vector<Flit> mail MEDEA_GUARDED_BY(xfer);
-    static void relay(void* ctx, std::vector<Flit>& staged);
+    static void relay(void* ctx, Flit&& f);
   };
 
   /// Per-shard observer buffer: records the shard's flit events during

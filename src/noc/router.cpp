@@ -1,7 +1,5 @@
 #include "noc/router.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdlib>
 
 namespace medea::noc {
@@ -12,6 +10,12 @@ namespace {
 /// observed "sporadic cases of single flits delivered with high latency";
 /// this counter lets experiments quantify that tail.
 constexpr std::uint16_t kLivelockHops = 256;
+
+/// Oldest-first priority: earlier injection wins, then the lower uid.
+bool older(const Flit& a, const Flit& b) {
+  if (a.inject_cycle != b.inject_cycle) return a.inject_cycle < b.inject_cycle;
+  return a.uid < b.uid;
+}
 
 }  // namespace
 
@@ -40,48 +44,52 @@ void DeflectionRouter::tick(sim::Cycle now) {
 
   // 1. Accept at most one flit per input link (hot potato: the router
   //    never stores flits, so everything accepted must leave this cycle).
-  route_set_.clear();
+  //    Each flit is inserted into place oldest-first, ties kept in link
+  //    order: a stable sort of at most four flits, without the heap
+  //    buffer the library's stable sort allocates.
+  int n = 0;
   for (auto* link : in_) {
-    if (link != nullptr && !link->empty()) route_set_.push_back(link->pop());
+    if (link == nullptr || link->empty()) continue;
+    const Flit f = link->pop();
+    int j = n++;
+    for (; j > 0 && older(f, route_set_[j - 1]); --j) {
+      route_set_[j] = route_set_[j - 1];
+    }
+    route_set_[j] = f;
   }
 
   // 2. Ejection: oldest flits addressed to this node, up to the local
   //    delivery bandwidth, space permitting.  Flits that cannot eject stay
-  //    in the route set and deflect around the network.
+  //    in the route set, in order, and deflect around the network.
   int ejected = 0;
-  if (!route_set_.empty()) {
-    std::stable_sort(route_set_.begin(), route_set_.end(),
-                     [](const Flit& a, const Flit& b) {
-                       if (a.inject_cycle != b.inject_cycle)
-                         return a.inject_cycle < b.inject_cycle;
-                       return a.uid < b.uid;
-                     });
-    for (auto it = route_set_.begin();
-         it != route_set_.end() && ejected < cfg_.eject_per_cycle;) {
-      if (it->dst == pos_ && eject_q_.can_push()) {
-        ++st_delivered_;
-        ++st_delivered_here_;
-        acc_latency_.add(static_cast<double>(now - it->inject_cycle));
-        acc_hops_.add(it->hops);
-        acc_defl_.add(it->deflections);
-        if (it->hops >= kLivelockHops) ++st_livelock_;
-        if (observer_ != nullptr) observer_->on_deliver(now, node_id_, *it);
-        eject_q_.push(*it);
-        it = route_set_.erase(it);
-        ++ejected;
-      } else {
-        ++it;
-      }
+  int kept = 0;
+  for (int i = 0; i < n; ++i) {
+    const Flit& f = route_set_[i];
+    if (ejected < cfg_.eject_per_cycle && f.dst == pos_ &&
+        eject_q_.can_push()) {
+      ++st_delivered_;
+      ++st_delivered_here_;
+      acc_latency_.add(static_cast<double>(now - f.inject_cycle));
+      acc_hops_.add(f.hops);
+      acc_defl_.add(f.deflections);
+      if (f.hops >= kLivelockHops) ++st_livelock_;
+      if (observer_ != nullptr) observer_->on_deliver(now, node_id_, f);
+      eject_q_.push(f);
+      ++ejected;
+    } else {
+      if (kept != i) route_set_[kept] = f;
+      ++kept;
     }
   }
+  n = kept;
 
-  // 3. Port assignment, oldest-first (route_set_ is already sorted).
+  // 3. Port assignment, oldest-first (the route set is already sorted).
+  //    Each flit holds one port, so a free port always remains for it.
   bool port_free[kNumDirs] = {true, true, true, true};
-  Dir assigned[8];  // route_set_.size() <= 4 always; slack for safety
-  int n_assigned = 0;
-  assert(route_set_.size() <= static_cast<std::size_t>(kNumDirs));
+  Dir port_of[kNumDirs];
+  bool productive[kNumDirs];
 
-  auto pick_port = [&](const Flit& f, bool& productive) -> int {
+  auto pick_port = [&](const Flit& f, bool& is_productive) -> int {
     Dir prod[4];
     const int np = geom_.productive_dirs(pos_, f.dst, prod);
     // Productive first.
@@ -93,11 +101,11 @@ void DeflectionRouter::tick(sim::Cycle now) {
       }
     }
     if (first_free_prod >= 0) {
-      productive = true;
+      is_productive = true;
       return first_free_prod;
     }
     // Deflect: any free port (fixed scan order, or random among free).
-    productive = false;
+    is_productive = false;
     if (cfg_.random_tie_break) {
       int free_ports[kNumDirs];
       int nf = 0;
@@ -113,62 +121,56 @@ void DeflectionRouter::tick(sim::Cycle now) {
     return -1;
   };
 
-  for (const Flit& f : route_set_) {
-    bool productive = false;
-    const int port = pick_port(f, productive);
-    // With |route_set_| <= kNumDirs a free port always exists; if the
+  for (int i = 0; i < n; ++i) {
+    const int port = pick_port(route_set_[i], productive[i]);
+    // With at most kNumDirs flits a free port always exists; if the
     // invariant is ever broken, fail hard instead of indexing with -1
     // (asserts vanish under NDEBUG and would leave this as silent UB).
     if (port < 0) std::abort();
     port_free[port] = false;
-    assigned[n_assigned++] = static_cast<Dir>(port);
-    if (!productive) ++st_deflections_;
+    port_of[i] = static_cast<Dir>(port);
+    if (!productive[i]) ++st_deflections_;
   }
 
-  // 4. Injection: one local flit if a port is still free.
-  bool injected_this_cycle = false;
+  // 4. Injection: one local flit if a port is still free (then n, the
+  //    number of ports taken, is below kNumDirs).
   if (!inject_q_.empty()) {
     bool any_free = false;
     for (bool pf : port_free) any_free = any_free || pf;
     if (any_free) {
       Flit f = pop_inject();
       f.inject_cycle = now;
-      bool productive = false;
-      const int port = pick_port(f, productive);
+      const int port = pick_port(f, productive[n]);
       if (port < 0) std::abort();  // a free port was just verified above
       port_free[port] = false;
       if (observer_ != nullptr) observer_->on_inject(now, node_id_, f);
-      route_set_.push_back(f);
-      assigned[n_assigned++] = static_cast<Dir>(port);
-      if (!productive) ++st_deflections_;
+      route_set_[n] = f;
+      port_of[n] = static_cast<Dir>(port);
+      if (!productive[n]) ++st_deflections_;
       ++st_injected_;
-      injected_this_cycle = true;
+      ++n;
     }
   }
 
-  // 5. Emit flits on their assigned links.
-  for (int i = 0; i < n_assigned; ++i) {
-    Flit f = route_set_[static_cast<std::size_t>(i)];
+  // 5. Emit flits on their assigned links.  pick_port's verdict is the
+  //    one to record: a flit it deflected found no productive port free,
+  //    so its port is not productive either.  Links never back-pressure:
+  //    every router empties each input link whenever it holds a flit, so
+  //    no link is full here (Fifo::push would throw if one were).
+  for (int i = 0; i < n; ++i) {
+    Flit& f = route_set_[i];
     f.hops++;
-    Dir prod[4];
-    const int np = geom_.productive_dirs(pos_, f.dst, prod);
-    bool was_productive = false;
-    for (int p = 0; p < np; ++p) was_productive |= (prod[p] == assigned[i]);
-    if (!was_productive) f.deflections++;
+    if (!productive[i]) f.deflections++;
     if (lifecycle_ != nullptr) {
-      lifecycle_->on_hop(now, node_id_, static_cast<int>(assigned[i]),
-                         !was_productive, f);
+      lifecycle_->on_hop(now, node_id_, static_cast<int>(port_of[i]),
+                         !productive[i], f);
     }
-    auto* link = out_[static_cast<int>(assigned[i])];
-    assert(link != nullptr && link->can_push() &&
-           "NoC links must always drain (no back-pressure in hot potato)");
-    link->push(f);
+    out_[static_cast<int>(port_of[i])]->push(f);
   }
 
   // A pending injection that lost arbitration (or is still queued behind
   // the one-per-cycle limit) retries next cycle; link input arrivals wake
   // us automatically via the link FIFOs' consumer hook.
-  (void)injected_this_cycle;
   if (!inject_q_.empty()) wake();
 }
 

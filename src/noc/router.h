@@ -1,6 +1,6 @@
 #pragma once
 
-#include <vector>
+#include <array>
 
 #include "noc/fabric.h"
 #include "sim/rng.h"
@@ -67,8 +67,9 @@ class DeflectionRouter final : public Router {
   sim::Accumulator& acc_hops_;
   sim::Accumulator& acc_defl_;
 
-  // scratch, kept as members to avoid per-tick allocation
-  std::vector<Flit> route_set_;
+  /// The flits routed this tick (scratch kept as a member): at most one
+  /// per input link, and the injected flit only while a port is free.
+  std::array<Flit, kNumDirs> route_set_;
 };
 
 }  // namespace medea::noc

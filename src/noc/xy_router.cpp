@@ -14,7 +14,11 @@ XyRouter::XyRouter(sim::Scheduler& sched, const TorusGeometry& geom, Coord pos,
       stats_(stats),
       st_delivered_here_(stats.counter("xynoc.router." +
                                        std::to_string(geom.node_id(pos)) +
-                                       ".delivered")) {}
+                                       ".delivered")) {
+  for (auto& b : buf_) {
+    b = sim::Ring<Flit>(static_cast<std::size_t>(cfg.input_buffer_depth));
+  }
+}
 
 std::size_t XyRouter::buffered() const {
   std::size_t n = 0;

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <array>
-#include <deque>
 
 #include "noc/fabric.h"
+#include "sim/ring.h"
 #include "sim/stats.h"
 
 /// \file xy_router.h
@@ -66,7 +66,7 @@ class XyRouter final : public Router {
   sim::Stat& st_delivered_here_;
 
   // Internal input buffers (index kNumDirs = local inject staging).
-  std::array<std::deque<Flit>, kNumDirs + 1> buf_;
+  std::array<sim::Ring<Flit>, kNumDirs + 1> buf_;
   int rr_ = 0;  // round-robin pointer over input buffers per output port
 };
 

@@ -6,7 +6,7 @@ namespace {
 
 /// Pop from the round-robin-selected non-empty queue; returns false if
 /// both are empty.  `prefer_a` is flipped on a contended grant.
-bool rr_pick(std::deque<noc::Flit>& a, std::deque<noc::Flit>& b,
+bool rr_pick(sim::Ring<noc::Flit>& a, sim::Ring<noc::Flit>& b,
              bool& prefer_a, noc::Flit& out) {
   const bool has_a = !a.empty();
   const bool has_b = !b.empty();
@@ -33,8 +33,8 @@ void NocArbiter::drain_into(sim::Fifo<noc::Flit>& inject) {
 }
 
 void NocArbiter::step(sim::Fifo<noc::Flit>& inject,
-                      std::deque<noc::Flit>& tie_q,
-                      std::deque<noc::Flit>& bridge_q) {
+                      sim::Ring<noc::Flit>& tie_q,
+                      sim::Ring<noc::Flit>& bridge_q) {
   switch (cfg_.kind) {
     case ArbiterKind::kMux: {
       // No storage: grant one interface per cycle, directly to the switch.

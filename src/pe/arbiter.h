@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "noc/flit.h"
 #include "sim/fifo.h"
+#include "sim/ring.h"
 #include "sim/stats.h"
 
 /// \file arbiter.h
@@ -49,14 +49,17 @@ struct ArbiterConfig {
 class NocArbiter {
  public:
   NocArbiter(const ArbiterConfig& cfg, sim::StatSet& stats)
-      : cfg_(cfg), stats_(stats) {}
+      : cfg_(cfg),
+        stats_(stats),
+        hp_(static_cast<std::size_t>(cfg.fifo_depth)),
+        be_(static_cast<std::size_t>(cfg.fifo_depth)) {}
 
   const ArbiterConfig& config() const { return cfg_; }
 
   /// One cycle: move flits from the interface output registers (tie_q,
   /// bridge_q) toward the switch injection port.
-  void step(sim::Fifo<noc::Flit>& inject, std::deque<noc::Flit>& tie_q,
-            std::deque<noc::Flit>& bridge_q);
+  void step(sim::Fifo<noc::Flit>& inject, sim::Ring<noc::Flit>& tie_q,
+            sim::Ring<noc::Flit>& bridge_q);
 
   /// Flits still parked in internal queues (kMux: always 0).
   std::size_t buffered() const { return hp_.size() + be_.size(); }
@@ -72,8 +75,8 @@ class NocArbiter {
   sim::Stat& st_stalls_ = stats_.counter("arb.stall_cycles");
   sim::Stat& st_contention_ = stats_.counter("arb.contention");
   sim::Stat& st_flits_ = stats_.counter("arb.flits");
-  std::deque<noc::Flit> hp_;  // kSingleFifo uses hp_ as the single queue
-  std::deque<noc::Flit> be_;
+  sim::Ring<noc::Flit> hp_;  // kSingleFifo uses hp_ as the single queue
+  sim::Ring<noc::Flit> be_;
   bool rr_tie_next_ = true;   // round-robin pointer for contention
 };
 

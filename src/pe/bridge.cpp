@@ -11,8 +11,12 @@ using noc::FlitType;
 
 Pif2NocBridge::Pif2NocBridge(noc::Network& net, int self_id, int mpmmu_id,
                              const BridgeConfig& cfg, sim::StatSet& stats)
-    : net_(net), self_id_(self_id), mpmmu_id_(mpmmu_id), cfg_(cfg),
-      stats_(stats) {}
+    : net_(net),
+      self_id_(self_id),
+      mpmmu_id_(mpmmu_id),
+      cfg_(cfg),
+      stats_(stats),
+      queue_(static_cast<std::size_t>(cfg.tx_queue_depth)) {}
 
 Flit Pif2NocBridge::make_flit(FlitSubType sub, std::uint8_t seq,
                               std::uint8_t burst, std::uint32_t data) const {
@@ -45,7 +49,7 @@ bool Pif2NocBridge::busy_streaming() const {
   return state_ == State::kSendReq || state_ == State::kSendData;
 }
 
-void Pif2NocBridge::step_tx(std::deque<noc::Flit>& out) {
+void Pif2NocBridge::step_tx(sim::Ring<noc::Flit>& out) {
   if (!cur_.has_value()) {
     if (queue_.empty()) return;
     cur_ = queue_.front();

@@ -2,12 +2,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "mem/memory_map.h"
 #include "noc/flit.h"
 #include "noc/network.h"
+#include "sim/ring.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -84,7 +84,7 @@ class Pif2NocBridge {
 
   /// One cycle of the transmit engine: emits at most one flit into `out`
   /// (the bridge-side register in front of the arbiter).
-  void step_tx(std::deque<noc::Flit>& out);
+  void step_tx(sim::Ring<noc::Flit>& out);
 
   /// Completion handoff (at most one per cycle; engine is serial).
   std::optional<Completion> take_completion() {
@@ -116,7 +116,7 @@ class Pif2NocBridge {
   BridgeConfig cfg_;
   sim::StatSet& stats_;
 
-  std::deque<Tx> queue_;
+  sim::Ring<Tx> queue_;
   std::optional<Tx> cur_;
   State state_ = State::kSendReq;
   int data_sent_ = 0;

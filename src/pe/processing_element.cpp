@@ -1,5 +1,6 @@
 #include "pe/processing_element.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -13,6 +14,10 @@ namespace {
 /// Depth of the core's write buffer: fire-and-forget stores beyond this
 /// stall the pipeline (this is what makes Write-Through traffic hurt).
 constexpr std::size_t kWriteBufferDepth = 4;
+/// Slots the write-buffer ring starts with: the buffered stores plus the
+/// transactions of the one operation in flight (a fill and its cast-out,
+/// a flush, a lock), which queue behind them without the depth check.
+constexpr std::size_t kWriteBufferSlots = 2 * kWriteBufferDepth;
 }  // namespace
 
 ProcessingElement::ProcessingElement(sim::Scheduler& sched, noc::Network& net,
@@ -29,20 +34,27 @@ ProcessingElement::ProcessingElement(sim::Scheduler& sched, noc::Network& net,
       cache_(cfg.cache),
       tie_(net, node_id, stats_),
       bridge_(net, node_id, mpmmu_node_id, cfg.bridge, stats_),
-      arbiter_(cfg.arbiter, stats_) {
+      arbiter_(cfg.arbiter, stats_),
+      fire_forget_(kWriteBufferSlots) {
   net_.eject(node_id_).set_consumer(this);
   net_.inject(node_id_).set_producer(this);
-  scratch_.assign(map.scratchpad_size() / mem::kWordBytes, 0);
 }
 
 std::uint32_t ProcessingElement::scratch_read_word(mem::Addr a) const {
   assert(map_.is_scratchpad(a));
-  return scratch_[(a - map_.scratchpad_base()) / mem::kWordBytes];
+  const std::size_t i = (a - map_.scratchpad_base()) / mem::kWordBytes;
+  return i < scratch_.size() ? scratch_[i] : 0;
 }
 
 void ProcessingElement::scratch_write_word(mem::Addr a, std::uint32_t v) {
   assert(map_.is_scratchpad(a));
-  scratch_[(a - map_.scratchpad_base()) / mem::kWordBytes] = v;
+  const std::size_t i = (a - map_.scratchpad_base()) / mem::kWordBytes;
+  if (i >= scratch_.size()) {
+    // Grow to cover the write, at least doubling, never past the RAM.
+    const std::size_t words = map_.scratchpad_size() / mem::kWordBytes;
+    scratch_.resize(std::min(std::max(i + 1, 2 * scratch_.size()), words), 0);
+  }
+  scratch_[i] = v;
 }
 
 double ProcessingElement::scratch_read_double(mem::Addr a) const {

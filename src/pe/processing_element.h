@@ -2,7 +2,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "pe/bridge.h"
 #include "pe/tie_interface.h"
 #include "sim/fifo.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 #include "sim/stats.h"
 #include "sim/task.h"
@@ -233,10 +233,10 @@ class ProcessingElement : public sim::Component {
   NocArbiter arbiter_;
 
   // Interface output registers in front of the arbiter (<=1 flit each).
-  std::deque<noc::Flit> tie_out_;
-  std::deque<noc::Flit> bridge_out_;
+  sim::Ring<noc::Flit> tie_out_{1};
+  sim::Ring<noc::Flit> bridge_out_{1};
   // Victim buffer: cast-outs / write-throughs awaiting a bridge slot.
-  std::deque<Pif2NocBridge::Tx> fire_forget_;
+  sim::Ring<Pif2NocBridge::Tx> fire_forget_;
 
   sim::Task<> program_;
   bool program_armed_ = false;
@@ -255,6 +255,7 @@ class ProcessingElement : public sim::Component {
   OpResult result_{};
 
   // Core-local data RAM (single-cycle, never cached, never on the NoC).
+  // Holds the prefix written so far; every word past it reads as zero.
   std::vector<std::uint32_t> scratch_;
 };
 

@@ -2,12 +2,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
 #include "noc/flit.h"
 #include "noc/network.h"
+#include "sim/ring.h"
 #include "sim/stats.h"
 
 /// \file tie_interface.h
@@ -58,7 +58,7 @@ class TieInterface {
   void start_send(int dst_id, const std::uint32_t* words, int n);
 
   /// Output register toward the arbiter; the PE moves flits out of here.
-  std::deque<noc::Flit>& tx_queue() { return tx_q_; }
+  sim::Ring<noc::Flit>& tx_queue() { return tx_q_; }
 
   /// Flits of the current send still queued (send op completes at zero).
   int send_flits_pending() const { return send_pending_; }
@@ -105,7 +105,7 @@ class TieInterface {
   int self_id_;
   sim::StatSet& stats_;
 
-  std::deque<noc::Flit> tx_q_;
+  sim::Ring<noc::Flit> tx_q_;
   int send_pending_ = 0;
 
   std::map<int, int> credits_;          // dst -> remaining credits

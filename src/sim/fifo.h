@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cassert>
-#include <deque>
+#include <cstddef>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/thread_annotations.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 #include "sim/types.h"
 
@@ -26,7 +26,15 @@
 ///    is woken automatically when a full FIFO gains space.
 ///
 /// These rules make simulation results independent of the order in which
-/// components tick within a cycle.
+/// components tick within a cycle.  A push beyond the capacity throws
+/// std::logic_error in every build type.
+///
+/// Storage: one sim::Ring holds the committed entries (the consumer's
+/// view) followed by the entries staged this cycle.  push() appends
+/// behind both, and commit() publishes the staged run by zeroing its
+/// count, so no entry moves at the end of a cycle.  The ring is sized at
+/// construction and never allocates again, except in an unbounded
+/// (capacity 0) FIFO reaching a new high-water mark.
 ///
 /// ## Ownership (clang -Wthread-safety)
 ///
@@ -36,7 +44,7 @@
 /// That ownership is encoded in the `owner_` capability token: mutators
 /// assert exclusive ownership, const readers assert shared.  The only
 /// cross-shard path is the boundary relay — commit() hands the staged
-/// batch to the relay hook, which appends it to a SimDomain mailbox
+/// entries to the relay hook, which appends them to a SimDomain mailbox
 /// (noc::Network::ShardChannel); the consumer-side half is a *different*
 /// Fifo on the consumer's shard, filled via push_committed() from the
 /// consumer shard's own drain phase.  Neither half is ever shared
@@ -45,13 +53,22 @@
 
 namespace medea::sim {
 
+namespace detail {
+/// Throws the std::logic_error of a push onto a full FIFO, naming it.
+[[noreturn]] void throw_fifo_full(const std::string& name,
+                                  std::size_t capacity);
+}  // namespace detail
+
 template <typename T>
 class Fifo : public Committable {
  public:
   /// capacity == 0 means unbounded (used for modelling ideal sinks and
   /// for test instrumentation; real MEDEA queues are always bounded).
   Fifo(Scheduler& sched, std::string name, std::size_t capacity)
-      : sched_(sched), name_(std::move(name)), capacity_(capacity) {}
+      : sched_(sched),
+        ring_(capacity),
+        capacity_(capacity),
+        name_(std::move(name)) {}
 
   Fifo(const Fifo&) = delete;
   Fifo& operator=(const Fifo&) = delete;
@@ -78,18 +95,18 @@ class Fifo : public Committable {
   // Shard-boundary relay (sim::SimDomain cross-shard links)
   // ------------------------------------------------------------------
 
-  /// Boundary-relay hook: when set, commit() hands the cycle's staged
-  /// batch to `fn` (a mailbox append on the producer shard) instead of
-  /// appending to the committed queue and waking the consumer.  The
-  /// consumer-side half of the split link receives the batch next via
-  /// push_committed() in the domain's drain phase, which reproduces the
-  /// shared-FIFO timing exactly (push at T -> visible at T+1).
+  /// Boundary-relay hook: when set, commit() hands each entry staged
+  /// this cycle, in push order, to `fn` (a mailbox append on the
+  /// producer shard) instead of publishing it and waking the consumer.
+  /// The consumer-side half of the split link receives the entries next
+  /// via push_committed() in the domain's drain phase, which reproduces
+  /// the shared-FIFO timing exactly (push at T -> visible at T+1).
   ///
   /// Only sound for channels whose producer never observes occupancy
-  /// (the deflection fabric's links: no back-pressure, can_push() is an
-  /// assert) — a relayed FIFO's committed queue stays empty, so
-  /// producer_occupancy() undercounts in-flight entries.
-  using RelayFn = void (*)(void* ctx, std::vector<T>& staged);
+  /// (the deflection fabric's links: no back-pressure) — a relayed
+  /// FIFO's committed queue stays empty, so producer_occupancy()
+  /// undercounts in-flight entries.
+  using RelayFn = void (*)(void* ctx, T&& entry);
   void set_relay(RelayFn fn, void* ctx) {
     owner_.assert_held();  // wiring time: model construction, pre-run
     relay_ = fn;
@@ -100,13 +117,16 @@ class Fifo : public Committable {
   /// committed queue (the domain drain phase runs strictly between
   /// cycles, standing in for the producer shard's commit()).  The caller
   /// wakes the consumer; this keeps the wake on the consumer's own
-  /// scheduler.
+  /// scheduler.  Throws std::logic_error when the FIFO is full.
   void push_committed(T v) {
     // Drain phase of the owning (consumer) shard: runs strictly between
     // global cycles, standing in for the producer shard's commit().
     owner_.assert_held();
-    assert(capacity_ == 0 || q_.size() < capacity_);
-    q_.push_back(std::move(v));
+    assert(staged_ == 0 && "drain phase runs after the commit phase");
+    if (capacity_ != 0 && ring_.size() >= capacity_) [[unlikely]] {
+      detail::throw_fifo_full(name_, capacity_);
+    }
+    ring_.push_back(std::move(v));
   }
 
   // ------------------------------------------------------------------
@@ -118,7 +138,7 @@ class Fifo : public Committable {
   /// plus entries staged this cycle.
   std::size_t producer_occupancy() const {
     owner_.assert_shared();
-    return q_.size() + popped_this_cycle_ + staged_.size();
+    return ring_.size() + popped_this_cycle_;
   }
 
   bool can_push() const {
@@ -130,12 +150,14 @@ class Fifo : public Committable {
     return ok;
   }
 
-  /// Stage one element; visible to the consumer next cycle.
+  /// Stage one element; visible to the consumer next cycle.  Throws
+  /// std::logic_error, naming the FIFO, when it is full.
   void push(T v) {
     owner_.assert_held();  // producer runs on the owning shard
-    assert(can_push() && "Fifo::push on full FIFO");
+    if (!can_push()) [[unlikely]] detail::throw_fifo_full(name_, capacity_);
     arm_commit();
-    staged_.push_back(std::move(v));
+    ring_.push_back(std::move(v));
+    ++staged_;
   }
 
   // ------------------------------------------------------------------
@@ -144,17 +166,17 @@ class Fifo : public Committable {
 
   bool empty() const {
     owner_.assert_shared();
-    return q_.empty();
+    return ring_.size() == staged_;
   }
   std::size_t size() const {
     owner_.assert_shared();
-    return q_.size();
+    return ring_.size() - staged_;
   }
 
   const T& front() const {
     owner_.assert_shared();
-    assert(!q_.empty());
-    return q_.front();
+    assert(!empty());
+    return ring_.front();
   }
 
   /// Committed entry `i` (0 = front), without popping.  Routers use this
@@ -163,15 +185,15 @@ class Fifo : public Committable {
   /// timing.
   const T& peek(std::size_t i) const {
     owner_.assert_shared();
-    assert(i < q_.size());
-    return q_[i];
+    assert(i < size());
+    return ring_[i];
   }
 
   T pop() {
     owner_.assert_held();  // consumer runs on the owning shard
-    assert(!q_.empty());
-    T v = std::move(q_.front());
-    q_.pop_front();
+    assert(!empty());
+    T v = std::move(ring_.front());
+    ring_.pop_front();
     ++popped_this_cycle_;
     arm_commit();
     return v;
@@ -183,29 +205,30 @@ class Fifo : public Committable {
 
   void commit() override {
     // Commit phase of the owning shard's scheduler, or (for a relayed
-    // boundary link) the producer shard handing its batch to the
+    // boundary link) the producer shard handing its entries to the
     // mailbox — either way, this shard's execution context.
     owner_.assert_held();
-    if (relay_ != nullptr) {
-      // Boundary link: the staged batch crosses to the consumer shard's
-      // mailbox; the drain phase over there delivers it and issues the
-      // consumer wake this branch skips.
-      if (!staged_.empty()) relay_(relay_ctx_, staged_);
-      staged_.clear();
-      popped_this_cycle_ = 0;
-      commit_stamp_ = kNeverCycle;
-      return;
-    }
-    const bool gained_data = !staged_.empty();
-    for (auto& v : staged_) q_.push_back(std::move(v));
-    staged_.clear();
+    const bool gained_data = staged_ != 0;
     popped_this_cycle_ = 0;
     commit_stamp_ = kNeverCycle;
+    if (relay_ != nullptr) [[unlikely]] {
+      // Boundary link: the staged entries cross to the consumer shard's
+      // mailbox; the drain phase over there delivers them and issues
+      // the consumer wake this branch skips.  Nothing is ever committed
+      // here, so the staged run starts at the front of the ring.
+      assert(ring_.size() == staged_);
+      for (; staged_ != 0; --staged_) {
+        relay_(relay_ctx_, std::move(ring_.front()));
+        ring_.pop_front();
+      }
+      return;
+    }
+    staged_ = 0;  // publish: the staged run joins the committed entries
     if (gained_data && consumer_ != nullptr) {
       sched_.wake_at(*consumer_, sched_.now() + 1);
     }
     if (push_blocked_ && producer_ != nullptr &&
-        (capacity_ == 0 || q_.size() < capacity_)) {
+        (capacity_ == 0 || ring_.size() < capacity_)) {
       push_blocked_ = false;
       sched_.wake_at(*producer_, sched_.now() + 1);
     }
@@ -233,16 +256,20 @@ class Fifo : public Committable {
   /// The owning shard's execution context (see the file comment).
   core::Capability owner_;
 
+  // Touched by push/pop/commit: kept together at the front.
   Scheduler& sched_;
-  std::string name_;
-  std::size_t capacity_;
-  std::deque<T> q_ MEDEA_GUARDED_BY(owner_);
-  std::vector<T> staged_ MEDEA_GUARDED_BY(owner_);
+  /// Committed entries (front = oldest), then the `staged_` entries
+  /// pushed this cycle.
+  Ring<T> ring_ MEDEA_GUARDED_BY(owner_);
+  std::size_t staged_ MEDEA_GUARDED_BY(owner_) = 0;
   std::size_t popped_this_cycle_ MEDEA_GUARDED_BY(owner_) = 0;
+  std::size_t capacity_;
   Cycle commit_stamp_ MEDEA_GUARDED_BY(owner_) = kNeverCycle;
-  mutable bool push_blocked_ MEDEA_GUARDED_BY(owner_) = false;
   Component* consumer_ MEDEA_GUARDED_BY(owner_) = nullptr;
   Component* producer_ MEDEA_GUARDED_BY(owner_) = nullptr;
+  mutable bool push_blocked_ MEDEA_GUARDED_BY(owner_) = false;
+
+  std::string name_;
   RelayFn relay_ MEDEA_GUARDED_BY(owner_) = nullptr;
   void* relay_ctx_ MEDEA_GUARDED_BY(owner_) = nullptr;
 };

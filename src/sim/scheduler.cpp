@@ -25,6 +25,11 @@ void Component::wake(Cycle delta) {
 
 Scheduler::Scheduler(const SchedulerConfig& cfg)
     : use_calendar_(cfg.queue == SchedulerConfig::EventQueue::kCalendar) {
+  // The commit list and its swap partner grow to the most FIFOs one
+  // cycle touches; starting both at a 1024-entry reserve keeps a
+  // mid-size fabric from reallocating them after warm-up.
+  commit_list_.reserve(kCommitListReserve);
+  commit_batch_.reserve(kCommitListReserve);
   if (use_calendar_) {
     ring_.resize(kRingCycles);
     ring_bitmap_.resize(kRingCycles / 64, 0);

@@ -278,6 +278,9 @@ class Scheduler {
   static constexpr std::size_t kRingCycles = 1024;
   static constexpr std::size_t kRingMask = kRingCycles - 1;
 
+  /// Initial capacity of the commit list and its swap partner.
+  static constexpr std::size_t kCommitListReserve = 1024;
+
   bool use_calendar_ = true;
   Cycle now_ = 0;
   bool dispatching_ = false;

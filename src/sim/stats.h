@@ -3,8 +3,10 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "sim/types.h"
 
@@ -141,21 +143,27 @@ class LatencyHistogram {
 /// A named bag of counters and accumulators.
 ///
 /// std::map (not unordered_map) keeps iteration order deterministic so
-/// that printed reports are stable run-to-run.
+/// that printed reports are stable run-to-run.  The maps compare keys
+/// with std::less<>, so every lookup takes a std::string_view and builds
+/// a std::string only when it inserts a new key: a hot-path
+/// inc("pe.write_buffer_stalls") allocates nothing after its first call.
 class StatSet {
  public:
+  using CounterMap = std::map<std::string, std::uint64_t, std::less<>>;
+  using AccumulatorMap = std::map<std::string, Accumulator, std::less<>>;
+
   /// Bump an integer counter by delta (creates it at zero when absent).
-  void inc(const std::string& name, std::uint64_t delta = 1) {
-    counters_[name] += delta;
+  void inc(std::string_view name, std::uint64_t delta = 1) {
+    slot(counters_, name) += delta;
   }
 
   /// Set a counter to an absolute value.
-  void set(const std::string& name, std::uint64_t value) {
-    counters_[name] = value;
+  void set(std::string_view name, std::uint64_t value) {
+    slot(counters_, name) = value;
   }
 
   /// Current value of a counter (zero when never touched).
-  std::uint64_t get(const std::string& name) const {
+  std::uint64_t get(std::string_view name) const {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
@@ -164,23 +172,25 @@ class StatSet {
   /// std::map node addresses never move, so the handle stays valid for
   /// the StatSet's lifetime (clear() invalidates it).  Resolve once in a
   /// constructor, bump per tick — no per-event string lookup.
-  Stat& counter(const std::string& name) { return counters_[name]; }
+  Stat& counter(std::string_view name) { return slot(counters_, name); }
 
   /// Record a sample into a named accumulator.
-  void sample(const std::string& name, double v) { accs_[name].add(v); }
+  void sample(std::string_view name, double v) { slot(accs_, name).add(v); }
 
   /// Stable reference to an accumulator (same contract as counter()).
-  Accumulator& accumulator(const std::string& name) { return accs_[name]; }
+  Accumulator& accumulator(std::string_view name) {
+    return slot(accs_, name);
+  }
 
-  const Accumulator& acc(const std::string& name) const {
+  const Accumulator& acc(std::string_view name) const {
     static const Accumulator kEmpty;
     auto it = accs_.find(name);
     return it == accs_.end() ? kEmpty : it->second;
   }
 
   void merge(const StatSet& o) {
-    for (const auto& [k, v] : o.counters_) counters_[k] += v;
-    for (const auto& [k, a] : o.accs_) accs_[k].merge(a);
+    for (const auto& [k, v] : o.counters_) slot(counters_, k) += v;
+    for (const auto& [k, a] : o.accs_) slot(accs_, k).merge(a);
   }
 
   void clear() {
@@ -188,19 +198,26 @@ class StatSet {
     accs_.clear();
   }
 
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, Accumulator>& accumulators() const {
-    return accs_;
-  }
+  const CounterMap& counters() const { return counters_; }
+  const AccumulatorMap& accumulators() const { return accs_; }
 
   /// Render as "name=value" lines, for debugging and reports.
   std::string to_string() const;
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Accumulator> accs_;
+  /// The value under `name`, inserted value-initialized when absent —
+  /// operator[] for a heterogeneous key.
+  template <typename Map>
+  static typename Map::mapped_type& slot(Map& m, std::string_view name) {
+    auto it = m.lower_bound(name);
+    if (it == m.end() || it->first != name) {
+      it = m.emplace_hint(it, std::string(name), typename Map::mapped_type{});
+    }
+    return it->second;
+  }
+
+  CounterMap counters_;
+  AccumulatorMap accs_;
 };
 
 }  // namespace medea::sim

@@ -8,6 +8,7 @@
 
 #include "noc/network.h"
 #include "pe/bridge.h"
+#include "sim/ring.h"
 
 namespace medea::pe {
 namespace {
@@ -92,7 +93,7 @@ class BridgeHarness : public sim::Component {
   int self_;
   int mpmmu_;
   std::deque<std::pair<Flit, std::size_t>> replies_;
-  std::deque<Flit> out_reg_;
+  sim::Ring<Flit> out_reg_;
 };
 
 struct Fx {

@@ -116,18 +116,33 @@ TEST(Sweep, MiniatureDesignSpaceProducesSanePoints) {
 }
 
 TEST(Sweep, ResultsIndependentOfThreadCount) {
+  // Workers claim points costliest first (WT, then small L1), out of job
+  // order; results must still come back in job order, with the same
+  // values, whatever the thread count.
   SweepSpec spec;
   spec.n = 8;
   spec.cores = {2, 3};
-  spec.cache_kb = {4};
-  spec.policies = {mem::WritePolicy::kWriteBack};
+  spec.cache_kb = {2, 4};
+  spec.policies = {mem::WritePolicy::kWriteBack,
+                   mem::WritePolicy::kWriteThrough};
   spec.threads = 1;
   const auto seq = run_sweep(spec);
   spec.threads = 4;
   const auto par = run_sweep(spec);
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i].cycles_per_iteration, par[i].cycles_per_iteration);
+  ASSERT_EQ(seq.size(), 8u);
+  ASSERT_EQ(par.size(), seq.size());
+  std::size_t i = 0;
+  for (int c : spec.cores) {
+    for (auto kb : spec.cache_kb) {
+      for (auto pol : spec.policies) {
+        const std::string label = make_design_config(c, kb, pol).label();
+        EXPECT_EQ(seq[i].label, label);
+        EXPECT_EQ(par[i].label, label);
+        EXPECT_EQ(seq[i].cycles_per_iteration, par[i].cycles_per_iteration)
+            << label;
+        ++i;
+      }
+    }
   }
 }
 

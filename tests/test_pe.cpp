@@ -3,11 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
-
 #include "core/medea.h"
 #include "pe/arbiter.h"
 #include "pe/tie_interface.h"
+#include "sim/ring.h"
 
 namespace medea::pe {
 namespace {
@@ -32,7 +31,7 @@ struct ArbFixture {
   sim::StatSet stats;
   sim::Fifo<Flit> inject;
   NocArbiter arb;
-  std::deque<Flit> tie, bridge;
+  sim::Ring<Flit> tie, bridge;
 };
 
 TEST(Arbiter, MuxGrantsOnePerCycleAndAlternates) {
@@ -144,14 +143,14 @@ TEST(Tie, SendStampsSequenceNumbersAndBurst) {
   const std::uint32_t words[3] = {7, 8, 9};
   fx.tie.start_send(2, words, 3);
   ASSERT_EQ(fx.tie.tx_queue().size(), 3u);
-  int i = 0;
-  for (const auto& f : fx.tie.tx_queue()) {
+  const auto& q = fx.tie.tx_queue();
+  for (int i = 0; i < static_cast<int>(q.size()); ++i) {
+    const Flit& f = q[static_cast<std::size_t>(i)];
     EXPECT_EQ(f.type, noc::FlitType::kMessage);
     EXPECT_EQ(f.subtype, noc::kMpData);
     EXPECT_EQ(f.seq_num & 3, i);           // word offset
     EXPECT_EQ(f.burst_size, 2);            // 3 words -> burst = n-1
     EXPECT_EQ(f.src_id, 1);
-    ++i;
   }
 }
 

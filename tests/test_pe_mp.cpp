@@ -83,6 +83,25 @@ TEST(Scratchpad, PerCoreIsolation) {
   EXPECT_EQ(sys.core(1).scratch_read_word(sp), 222u);
 }
 
+TEST(Scratchpad, UnwrittenWordsReadZeroUpToTheLastWord) {
+  // The scratchpad's storage covers only what has been written; every
+  // other word, the last one included, reads as zero.
+  core::MedeaSystem sys(cfg_n(1));
+  const mem::Addr sp = sys.memory_map().scratchpad_base();
+  const mem::Addr last = sp + sys.memory_map().scratchpad_size() - 4;
+  auto& pe = sys.core(0);
+  EXPECT_EQ(pe.scratch_read_word(last), 0u);
+  pe.scratch_write_word(sp + 8, 5);
+  EXPECT_EQ(pe.scratch_read_word(sp), 0u);
+  EXPECT_EQ(pe.scratch_read_word(sp + 8), 5u);
+  EXPECT_EQ(pe.scratch_read_word(sp + 12), 0u);
+  EXPECT_EQ(pe.scratch_read_word(last), 0u);
+  pe.scratch_write_word(last, 7);
+  EXPECT_EQ(pe.scratch_read_word(last), 7u);
+  EXPECT_EQ(pe.scratch_read_word(last - 4), 0u);
+  EXPECT_EQ(pe.scratch_read_word(sp + 8), 5u);
+}
+
 // ---------------------------------------------------------------------
 // Block message passing (Fig. 2-b landing)
 // ---------------------------------------------------------------------
