@@ -40,18 +40,31 @@ void check_geometry(const TorusGeometry& geom) {
 
 }  // namespace
 
-Router::Router(sim::Scheduler& sched, std::string name,
+Router::Router(sim::Scheduler& sched, const char* kind,
                const TorusGeometry& geom, Coord pos, int inject_queue_depth,
                int eject_queue_depth)
-    : sim::Component(sched, std::move(name)),
+    : sim::Component(sched, std::string()),
       geom_(geom),
       pos_(pos),
       node_id_(geom.node_id(pos)),
-      inject_q_(sched, this->name() + ".inject",
+      inject_q_(sched, sim::FifoName(&queue_name, this, 0),
                 static_cast<std::size_t>(inject_queue_depth)),
-      eject_q_(sched, this->name() + ".eject",
-               static_cast<std::size_t>(eject_queue_depth)) {
+      eject_q_(sched, sim::FifoName(&queue_name, this, 1),
+               static_cast<std::size_t>(eject_queue_depth)),
+      kind_(kind) {
   inject_q_.set_consumer(this);
+}
+
+std::string Router::name() const {
+  std::string s(kind_);
+  s += pos_.to_string();
+  return s;
+}
+
+std::string Router::queue_name(const void* router, std::size_t index) {
+  std::string s = static_cast<const Router*>(router)->name();
+  s += index == 0 ? ".inject" : ".eject";
+  return s;
 }
 
 Fabric::Fabric(sim::SimDomain& dom, const TorusGeometry& geom)
@@ -73,25 +86,34 @@ void Fabric::throw_uid_exhausted(int node) {
                             std::to_string(node + 1) + "'s range");
 }
 
+std::string Fabric::link_name(const void* fabric, std::size_t index) {
+  const auto& f = *static_cast<const Fabric*>(fabric);
+  const Coord from = f.geom_.coord_of(static_cast<int>(index / kNumDirs));
+  const auto dir = static_cast<Dir>(index % kNumDirs);
+  std::string name(f.link_prefix_);
+  name += from.to_string();
+  name += to_string(dir);
+  name += "->";
+  name += f.geom_.neighbor(from, dir).to_string();
+  return name;
+}
+
 void Fabric::wire_links(const char* prefix) {
+  link_prefix_ = prefix;
   links_.reserve(static_cast<std::size_t>(num_nodes()) * kNumDirs);
   for (int id = 0; id < num_nodes(); ++id) {
     const Coord from = geom_.coord_of(id);
     for (int d = 0; d < kNumDirs; ++d) {
       const Dir dir = static_cast<Dir>(d);
-      const Coord to = geom_.neighbor(from, dir);
-      const int to_id = geom_.node_id(to);
-      std::string name(prefix);
-      name += from.to_string();
-      name += to_string(dir);
-      name += "->";
-      name += to.to_string();
+      const int to_id = geom_.node_id(geom_.neighbor(from, dir));
+      const std::size_t index = static_cast<std::size_t>(id) * kNumDirs +
+                                static_cast<std::size_t>(d);
       if (&sched_of(id) != &sched_of(to_id)) {
-        wire_seam(id, dir, to_id, name);
+        wire_seam(id, dir, to_id, link_name(this, index));
         continue;
       }
       auto link = std::make_unique<sim::Fifo<Flit>>(
-          sched_of(id), std::move(name), kLinkCapacity);
+          sched_of(id), sim::FifoName(&link_name, this, index), kLinkCapacity);
       connect(id, dir, to_id, link.get(), link.get());
       links_.push_back(std::move(link));
     }

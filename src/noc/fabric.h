@@ -44,6 +44,9 @@ class Router : public sim::Component {
  public:
   Coord pos() const { return pos_; }
 
+  /// Rendered from the coordinates on each call, e.g. "router(1,2)".
+  std::string name() const override;
+
   /// Wiring (done once by the fabric during construction).
   void connect_input(Dir d, sim::Fifo<Flit>* link) {
     in_[static_cast<int>(d)] = link;
@@ -52,6 +55,8 @@ class Router : public sim::Component {
   void connect_output(Dir d, sim::Fifo<Flit>* link) {
     out_[static_cast<int>(d)] = link;
   }
+  /// The link leaving through port `d` (null until wired).
+  sim::Fifo<Flit>* output(Dir d) const { return out_[static_cast<int>(d)]; }
 
   /// Local-port queues: the network interface pushes into inject() and
   /// pops from eject().
@@ -68,7 +73,9 @@ class Router : public sim::Component {
   }
 
  protected:
-  Router(sim::Scheduler& sched, std::string name, const TorusGeometry& geom,
+  /// `kind` (a string literal such as "router") starts the router's
+  /// name, which the coordinates complete.
+  Router(sim::Scheduler& sched, const char* kind, const TorusGeometry& geom,
          Coord pos, int inject_queue_depth, int eject_queue_depth);
 
   /// Lifecycle tracing, first step of every tick: announce inject-queue
@@ -102,9 +109,14 @@ class Router : public sim::Component {
   sim::Fifo<Flit> eject_q_;
 
  private:
+  /// FifoName::RenderFn of the local queues: index 0 is the inject
+  /// queue ("router(1,2).inject"), 1 the eject queue.
+  static std::string queue_name(const void* router, std::size_t index);
+
   /// Inject-queue entries already announced via on_queue_enter (a
   /// watermark into the committed queue; decremented on pop).
   std::size_t q_announced_ = 0;
+  const char* kind_;
 };
 
 class Fabric {
@@ -185,10 +197,11 @@ class Fabric {
 
   /// The link wiring: one unidirectional link per (router, direction),
   /// entering neighbour(router, direction) through the opposite port,
-  /// named `prefix` + "(x,y)D->(x,y)".  On 1-wide or 1-tall tori a link
-  /// can loop back to its own router; the wiring handles that
-  /// uniformly.  A link whose two ends run on different schedulers is
-  /// handed to wire_seam().  Call once, after every router exists.
+  /// named `prefix` (a string literal) + "(x,y)D->(x,y)".  On 1-wide or
+  /// 1-tall tori a link can loop back to its own router; the wiring
+  /// handles that uniformly.  A link whose two ends run on different
+  /// schedulers is handed to wire_seam().  Call once, after every router
+  /// exists.
   void wire_links(const char* prefix);
 
   /// Wire router `from`'s output `dir` to `out` and the input of its
@@ -226,6 +239,12 @@ class Fabric {
 
  private:
   [[noreturn]] static void throw_uid_exhausted(int node);
+
+  /// FifoName::RenderFn of the links: the name of link `index` (router
+  /// id * kNumDirs + direction) of the fabric at `fabric`.
+  static std::string link_name(const void* fabric, std::size_t index);
+
+  const char* link_prefix_ = "";
 
   std::uint32_t next_uid_ = 1;
   std::vector<std::uint32_t> node_seq_;

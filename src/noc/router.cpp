@@ -24,7 +24,7 @@ DeflectionRouter::DeflectionRouter(sim::Scheduler& sched,
                                    const RouterConfig& cfg,
                                    sim::StatSet& net_stats,
                                    std::uint64_t rng_seed)
-    : Router(sched, "router" + pos.to_string(), geom, pos,
+    : Router(sched, "router", geom, pos,
              cfg.inject_queue_depth, cfg.eject_queue_depth),
       cfg_(cfg),
       rng_(rng_seed),

@@ -7,7 +7,7 @@ namespace medea::noc {
 XyRouter::XyRouter(sim::Scheduler& sched, const TorusGeometry& geom, Coord pos,
                    const XyRouterConfig& cfg, bool torus_wrap,
                    sim::StatSet& stats)
-    : Router(sched, "xyrouter" + pos.to_string(), geom, pos,
+    : Router(sched, "xyrouter", geom, pos,
              cfg.inject_queue_depth, cfg.eject_queue_depth),
       cfg_(cfg),
       torus_wrap_(torus_wrap),

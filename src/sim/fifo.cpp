@@ -4,9 +4,9 @@
 
 namespace medea::sim::detail {
 
-void throw_fifo_full(const std::string& name, std::size_t capacity) {
+void throw_fifo_full(const FifoName& name, std::size_t capacity) {
   std::string msg("sim::Fifo ");
-  msg += name;
+  msg += name.str();
   msg += ": push on a full FIFO (capacity ";
   msg += std::to_string(capacity);
   msg += ')';

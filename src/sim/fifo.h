@@ -53,10 +53,32 @@
 
 namespace medea::sim {
 
+/// A FIFO's name, for error messages: fixed `text`, or rendered on
+/// demand as `render(ctx, index)`.  A fabric owns thousands of link and
+/// queue FIFOs whose names only an error ever prints, so it keeps what a
+/// name is made of and builds the string on the throw path.
+class FifoName {
+ public:
+  using RenderFn = std::string (*)(const void* ctx, std::size_t index);
+
+  explicit FifoName(std::string text) : text_(std::move(text)) {}
+  FifoName(RenderFn render, const void* ctx, std::size_t index)
+      : render_(render), ctx_(ctx), index_(index) {}
+
+  std::string str() const {
+    return render_ != nullptr ? render_(ctx_, index_) : text_;
+  }
+
+ private:
+  std::string text_;
+  RenderFn render_ = nullptr;
+  const void* ctx_ = nullptr;
+  std::size_t index_ = 0;
+};
+
 namespace detail {
 /// Throws the std::logic_error of a push onto a full FIFO, naming it.
-[[noreturn]] void throw_fifo_full(const std::string& name,
-                                  std::size_t capacity);
+[[noreturn]] void throw_fifo_full(const FifoName& name, std::size_t capacity);
 }  // namespace detail
 
 template <typename T>
@@ -65,6 +87,8 @@ class Fifo : public Committable {
   /// capacity == 0 means unbounded (used for modelling ideal sinks and
   /// for test instrumentation; real MEDEA queues are always bounded).
   Fifo(Scheduler& sched, std::string name, std::size_t capacity)
+      : Fifo(sched, FifoName(std::move(name)), capacity) {}
+  Fifo(Scheduler& sched, FifoName name, std::size_t capacity)
       : sched_(sched),
         ring_(capacity),
         capacity_(capacity),
@@ -73,7 +97,7 @@ class Fifo : public Committable {
   Fifo(const Fifo&) = delete;
   Fifo& operator=(const Fifo&) = delete;
 
-  const std::string& name() const { return name_; }
+  std::string name() const { return name_.str(); }
   std::size_t capacity() const { return capacity_; }
 
   /// Component to wake when staged data commits (new data visible).
@@ -269,7 +293,7 @@ class Fifo : public Committable {
   Component* producer_ MEDEA_GUARDED_BY(owner_) = nullptr;
   mutable bool push_blocked_ MEDEA_GUARDED_BY(owner_) = false;
 
-  std::string name_;
+  FifoName name_;
   RelayFn relay_ MEDEA_GUARDED_BY(owner_) = nullptr;
   void* relay_ctx_ MEDEA_GUARDED_BY(owner_) = nullptr;
 };

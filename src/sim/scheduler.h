@@ -94,7 +94,10 @@ class Component {
   /// component was woken (by itself, by a channel, or by another block).
   virtual void tick(Cycle now) = 0;
 
-  const std::string& name() const { return name_; }
+  /// The name given at construction.  Virtual so a model built by the
+  /// thousand (a fabric's routers) can render it on demand instead of
+  /// storing it: only error messages and tests read it.
+  virtual std::string name() const { return name_; }
   Scheduler& scheduler() const { return sched_; }
 
  protected:

@@ -13,6 +13,7 @@
 #include "noc/traffic.h"
 #include "noc/xy_network.h"
 #include "sim/domain.h"
+#include "sim/fifo.h"
 #include "sim/scheduler.h"
 
 namespace medea::noc {
@@ -433,6 +434,41 @@ TEST(FabricInvariants, NodeUidExhaustionThrows) {
   // The next uid would be node 2's first: refuse instead of aliasing.
   EXPECT_THROW(net.node_flit_uid(1), std::overflow_error);
   EXPECT_EQ(net.node_flit_uid(2), (2u << kFlitUidSeqBits) | 1u);
+}
+
+TEST(FabricInvariants, FullLinkErrorNamesTheLink) {
+  // Fabrics render link, router and queue names only when an error
+  // prints them; the text is what each FIFO used to store.
+  sim::SimDomain dom(sim::SchedulerConfig{});
+  Network net(dom, TorusGeometry(4, 4));
+  sim::Fifo<Flit>& link = *net.router(0).output(Dir::kEast);
+  link.push(Flit{});
+  link.push(Flit{});
+  try {
+    link.push(Flit{});
+    FAIL() << "push on a full link did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "sim::Fifo link(0,0)E->(1,0): push on a full FIFO "
+                 "(capacity 2)");
+  }
+  EXPECT_EQ(net.router(5).name(), "router(1,1)");
+  EXPECT_EQ(net.inject(5).name(), "router(1,1).inject");
+  EXPECT_EQ(net.eject(5).name(), "router(1,1).eject");
+  EXPECT_EQ(net.router(3).output(Dir::kEast)->name(), "link(3,0)E->(0,0)");
+
+  sim::SchedulerConfig two;
+  two.num_shards = 2;
+  sim::SimDomain sharded(two, 4);
+  Network banded(sharded, TorusGeometry(4, 4));
+  EXPECT_EQ(banded.router(0).output(Dir::kNorth)->name(),
+            "link(0,0)N->(0,3).tx");
+  EXPECT_EQ(banded.router(0).output(Dir::kSouth)->name(), "link(0,0)S->(0,1)");
+
+  XyNetwork xy(dom, TorusGeometry(3, 2));
+  EXPECT_EQ(xy.router(5).name(), "xyrouter(2,1)");
+  EXPECT_EQ(xy.router(5).output(Dir::kWest)->name(), "xylink(2,1)W->(1,1)");
+  EXPECT_EQ(xy.eject(0).name(), "xyrouter(0,0).eject");
 }
 
 TEST(FabricInvariants, XyFabricRejectsShardedDomain) {
