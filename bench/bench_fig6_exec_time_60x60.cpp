@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
+  bench::print_point_counts(points);
 
   // Track the paper's reference points in the perf trajectory.
   m.metric("cycles_8c_16kB_WB", find(8, 16, mem::WritePolicy::kWriteBack));

@@ -50,6 +50,7 @@ int main(int argc, char** argv) {
     for (auto kb : spec.cache_kb) std::printf("%10.0f", find(cores, kb));
     std::printf("\n");
   }
+  bench::print_point_counts(points);
 
   // The paper's cross-size observation: "In the 30x30 case cache must be
   // at least 4kB large, a value 4x less than the larger 60x60 case

@@ -12,6 +12,7 @@
 ///
 /// A malformed argument exits 1 with an error naming it.
 
+#include <cstddef>
 #include <cstdio>
 #include <exception>
 #include <limits>
@@ -56,6 +57,9 @@ int explore(int argc, char** argv) {
               spec.cores.size() * spec.cache_kb.size() * spec.policies.size(),
               n, n);
   const auto points = dse::run_sweep(spec);
+  const std::size_t implied = dse::count_implied(points);
+  std::printf("%zu simulated, %zu implied by an eviction-free smaller L1\n",
+              points.size() - implied, implied);
 
   std::printf("\nall points:\n%-14s %10s %12s\n", "config", "area mm2",
               "cycles/iter");

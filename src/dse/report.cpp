@@ -44,11 +44,11 @@ std::vector<ExecTimeCurve> exec_time_curves(
 
 std::string to_csv(const std::vector<SweepPoint>& pts) {
   std::ostringstream os;
-  os << "cores,cache_kb,policy,cycles_per_iteration,area_mm2,label\n";
+  os << "cores,cache_kb,policy,cycles_per_iteration,area_mm2,label,implied\n";
   for (const auto& p : pts) {
     os << p.cores << ',' << p.cache_kb << ',' << mem::to_string(p.policy)
        << ',' << p.cycles_per_iteration << ',' << p.area_mm2 << ','
-       << p.label << '\n';
+       << p.label << ',' << (p.implied ? 1 : 0) << '\n';
   }
   return std::move(os).str();
 }

@@ -30,7 +30,8 @@ struct ExecTimeCurve {
 /// combinations are skipped.
 std::vector<ExecTimeCurve> exec_time_curves(const std::vector<SweepPoint>& pts);
 
-/// CSV with one row per sweep point (header included).
+/// CSV with one row per sweep point (header included); the last column,
+/// `implied`, is 1 for a point filled from a smaller L1 (SweepPoint::implied).
 std::string to_csv(const std::vector<SweepPoint>& pts);
 
 /// Gnuplot .dat content for exec-time curves: first column cores, one

@@ -4,8 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <mutex>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "apps/jacobi.h"
 #include "core/system.h"
@@ -26,8 +29,11 @@ core::MedeaConfig make_design_config(int cores, std::uint32_t cache_kb,
   return cfg;
 }
 
-SweepPoint run_design_point(const SweepSpec& spec, int cores,
-                            std::uint32_t cache_kb, mem::WritePolicy policy) {
+namespace {
+
+/// A point's identity: its coordinates, label and chip area.
+SweepPoint describe_point(int cores, std::uint32_t cache_kb,
+                          mem::WritePolicy policy) {
   const core::MedeaConfig cfg = make_design_config(cores, cache_kb, policy);
   SweepPoint pt;
   pt.cores = cores;
@@ -35,16 +41,26 @@ SweepPoint run_design_point(const SweepSpec& spec, int cores,
   pt.policy = policy;
   pt.label = cfg.label();
   pt.area_mm2 = AreaModel{}.chip_area_mm2(cfg);
+  return pt;
+}
 
+}  // namespace
+
+SweepPoint run_design_point(const SweepSpec& spec, int cores,
+                            std::uint32_t cache_kb, mem::WritePolicy policy) {
+  SweepPoint pt = describe_point(cores, cache_kb, policy);
   const auto t0 = std::chrono::steady_clock::now();
   {
     telemetry::ProfileScope scope("point " + pt.label, "sweep");
-    core::MedeaSystem sys(cfg);
+    core::MedeaSystem sys(make_design_config(cores, cache_kb, policy));
     apps::JacobiParams jp;
     jp.n = spec.n;
     jp.warmup_iterations = spec.warmup_iterations;
     jp.timed_iterations = spec.timed_iterations;
     pt.cycles_per_iteration = apps::run_jacobi(sys, jp).cycles_per_iteration;
+    for (int r = 0; r < sys.num_cores(); ++r) {
+      pt.l1_evictions += sys.core(r).cache().stats().get("cache.evictions");
+    }
   }
   pt.host_ms = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
@@ -53,25 +69,47 @@ SweepPoint run_design_point(const SweepSpec& spec, int cores,
 }
 
 std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
-  struct Job {
-    int cores;
-    std::uint32_t cache_kb;
-    mem::WritePolicy policy;
-  };
-  std::vector<Job> jobs;
+  // out[] is in job order: cores-major, then cache, then policy.
+  const std::size_t num_kb = spec.cache_kb.size();
+  const std::size_t num_pol = spec.policies.size();
+  std::vector<SweepPoint> out(spec.cores.size() * num_kb * num_pol);
   for (int c : spec.cores) {
     for (auto kb : spec.cache_kb) {
-      for (auto pol : spec.policies) jobs.push_back({c, kb, pol});
+      for (auto pol : spec.policies) make_design_config(c, kb, pol).validate();
     }
   }
-  std::vector<SweepPoint> out(jobs.size());
+
+  // One series per (cores, policy): its points as (slot in out[], L1
+  // kB), in ascending L1 size.
+  struct Series {
+    int cores;
+    mem::WritePolicy policy;
+    std::vector<std::pair<std::size_t, std::uint32_t>> points;
+  };
+  std::vector<std::size_t> by_size(num_kb);
+  for (std::size_t k = 0; k < num_kb; ++k) by_size[k] = k;
+  std::stable_sort(by_size.begin(), by_size.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return spec.cache_kb[a] < spec.cache_kb[b];
+                   });
+  std::vector<Series> series;
+  for (std::size_t ci = 0; ci < spec.cores.size(); ++ci) {
+    for (std::size_t pi = 0; pi < num_pol; ++pi) {
+      Series s{spec.cores[ci], spec.policies[pi], {}};
+      for (std::size_t k : by_size) {
+        s.points.emplace_back((ci * num_kb + k) * num_pol + pi,
+                              spec.cache_kb[k]);
+      }
+      series.push_back(std::move(s));
+    }
+  }
 
   int threads = spec.threads;
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads <= 0) threads = 1;
   }
-  threads = std::min<int>(threads, static_cast<int>(jobs.size()));
+  threads = std::min<int>(threads, static_cast<int>(series.size()));
 
   // Live progress: one updating stderr line, throttled to ~4 Hz so the
   // terminal write never becomes the bottleneck of a fast sweep.
@@ -92,42 +130,61 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
     const double secs = static_cast<double>(ms) / 1000.0;
     const double pps = secs > 0.0 ? static_cast<double>(d) / secs : 0.0;
     const double eta =
-        pps > 0.0 ? static_cast<double>(jobs.size() - d) / pps : 0.0;
+        pps > 0.0 ? static_cast<double>(out.size() - d) / pps : 0.0;
     std::fprintf(stderr,
                  "\r[sweep] %zu/%zu points (%.1f pts/s, ETA %.0fs)   %s", d,
-                 jobs.size(), pps, eta, final_line ? "\n" : "");
+                 out.size(), pps, eta, final_line ? "\n" : "");
     std::fflush(stderr);
   };
 
-  // Claim order, costliest first: a write-through point stalls on its
-  // write buffer and costs many times its write-back twin, and a small
-  // L1 misses more.  Handing those out first lets the cheap points fill
-  // the tail, so no worker is left with a run of expensive ones.  Ties
-  // keep job order.
-  std::vector<std::size_t> order(jobs.size());
+  // Claim order, costliest series first: a write-through point stalls on
+  // its write buffer and costs many times its write-back twin, and more
+  // cores mean more components to tick.  Handing those out first lets
+  // the cheap series fill the tail.  Ties keep series order.
+  std::vector<std::size_t> order(series.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const auto cost_rank = [&jobs](std::size_t i) {
-    const Job& j = jobs[i];
-    return std::tuple(j.policy == mem::WritePolicy::kWriteThrough ? 0 : 1,
-                      j.cache_kb, i);
+  const auto cost_rank = [&series](std::size_t i) {
+    const Series& s = series[i];
+    return std::tuple(s.policy == mem::WritePolicy::kWriteThrough ? 0 : 1,
+                      -s.cores, i);
   };
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return cost_rank(a) < cost_rank(b);
   });
 
   // One task per worker thread, not one async per point: each thread
-  // claims the next point in `order` from a shared counter until none
+  // claims the next series in `order` from a shared counter until none
   // is left, amortising its startup across every point it runs and
   // reusing its thread-local coroutine FramePool, warm from its first
-  // point.  out[i] is indexed by job, so result order stays
-  // deterministic however the points were claimed.
+  // point.  Within a series the first eviction-free point fills every
+  // larger size.  out[] is indexed by job, so result order stays
+  // deterministic however the series were claimed.
   std::atomic<std::size_t> next{0};
+  std::mutex failure_mu;
+  std::exception_ptr failure;
   auto worker = [&] {
-    for (std::size_t k = next++; k < order.size(); k = next++) {
-      const Job& j = jobs[order[k]];
-      out[order[k]] = run_design_point(spec, j.cores, j.cache_kb, j.policy);
-      const std::size_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (spec.progress) progress_line(d, false);
+    try {
+      for (std::size_t k = next++; k < order.size(); k = next++) {
+        const Series& s = series[order[k]];
+        const SweepPoint* clean = nullptr;  // first eviction-free point
+        for (const auto& [slot, kb] : s.points) {
+          if (clean != nullptr) {
+            out[slot] = describe_point(s.cores, kb, s.policy);
+            out[slot].cycles_per_iteration = clean->cycles_per_iteration;
+            out[slot].implied = true;
+          } else {
+            out[slot] = run_design_point(spec, s.cores, kb, s.policy);
+            if (out[slot].l1_evictions == 0) clean = &out[slot];
+          }
+          const std::size_t d =
+              done.fetch_add(1, std::memory_order_relaxed) + 1;
+          if (spec.progress) progress_line(d, false);
+        }
+      }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(failure_mu);
+      if (!failure) failure = std::current_exception();
+      next = order.size();  // no worker claims another series
     }
   };
   if (threads == 1) {
@@ -138,8 +195,15 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
     for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (auto& th : pool) th.join();
   }
-  if (spec.progress) progress_line(jobs.size(), true);
+  if (failure) std::rethrow_exception(failure);
+  if (spec.progress) progress_line(out.size(), true);
   return out;
+}
+
+std::size_t count_implied(const std::vector<SweepPoint>& pts) {
+  return static_cast<std::size_t>(
+      std::count_if(pts.begin(), pts.end(),
+                    [](const SweepPoint& p) { return p.implied; }));
 }
 
 std::vector<DesignPoint> to_design_points(const std::vector<SweepPoint>& pts) {

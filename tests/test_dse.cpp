@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dse/area.h"
 #include "dse/pareto.h"
 #include "dse/sweep.h"
@@ -143,6 +145,72 @@ TEST(Sweep, ResultsIndependentOfThreadCount) {
         ++i;
       }
     }
+  }
+}
+
+TEST(Sweep, InvalidPointThrowsOnAnyThreadCount) {
+  // A 3 kB L1 fails MedeaConfig::validate, and a 2x2 grid fails the
+  // Jacobi's own check once a worker runs it; either must reach the
+  // caller as an exception, never std::terminate from a worker thread.
+  for (int threads : {1, 2, 4}) {
+    SweepSpec spec;
+    spec.n = 8;
+    spec.cores = {2, 3};
+    spec.cache_kb = {2, 3};
+    spec.threads = threads;
+    EXPECT_THROW(run_sweep(spec), std::invalid_argument) << threads;
+    spec.cache_kb = {2};
+    spec.n = 2;
+    EXPECT_THROW(run_sweep(spec), std::invalid_argument) << threads;
+  }
+}
+
+TEST(Sweep, PrunedPointsMatchDirectRuns) {
+  // Every point of the pruned sweep, implied or not, must equal a direct
+  // run_design_point of the same point; an implied point must come from
+  // an eviction-free simulated point of its own series.
+  for (int n : {16, 30}) {
+    SweepSpec spec;
+    spec.n = n;
+    spec.cores = {2, 7, 15};
+    spec.cache_kb = {2, 4, 8, 16, 32, 64};
+    const auto pts = run_sweep(spec);
+    ASSERT_EQ(pts.size(), 36u);
+    std::size_t implied = 0;
+    for (const auto& p : pts) {
+      const SweepPoint direct =
+          run_design_point(spec, p.cores, p.cache_kb, p.policy);
+      EXPECT_EQ(p.label, direct.label);
+      EXPECT_EQ(p.cycles_per_iteration, direct.cycles_per_iteration)
+          << p.label << " at n = " << n;
+      EXPECT_EQ(p.area_mm2, direct.area_mm2) << p.label;
+      EXPECT_FALSE(direct.implied);
+      if (!p.implied) {
+        EXPECT_EQ(p.l1_evictions, direct.l1_evictions) << p.label;
+        continue;
+      }
+      ++implied;
+      EXPECT_EQ(p.host_ms, 0.0) << p.label;
+      // The exactness argument: no eviction at the larger size either.
+      EXPECT_EQ(direct.l1_evictions, 0u) << p.label << " at n = " << n;
+      // Its source: the largest simulated point below it in its series.
+      const SweepPoint* source = nullptr;
+      for (const auto& q : pts) {
+        if (q.cores == p.cores && q.policy == p.policy && !q.implied &&
+            q.cache_kb < p.cache_kb &&
+            (source == nullptr || q.cache_kb > source->cache_kb)) {
+          source = &q;
+        }
+      }
+      ASSERT_NE(source, nullptr) << p.label;
+      EXPECT_EQ(source->l1_evictions, 0u) << p.label << " from "
+                                          << source->label;
+      EXPECT_EQ(p.cycles_per_iteration, source->cycles_per_iteration);
+    }
+    if (n == 16) {
+      EXPECT_GT(implied, 0u);
+    }
+    EXPECT_EQ(implied, count_implied(pts));
   }
 }
 

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <vector>
+
 #include "mem/backing_store.h"
 #include "mem/cache.h"
 #include "mem/ddr.h"
 #include "mem/memory_map.h"
+#include "sim/rng.h"
 
 namespace medea::mem {
 namespace {
@@ -284,6 +290,121 @@ TEST_P(CacheCapacity, SequentialWorkingSetFitsOrThrashes) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CacheCapacity,
                          ::testing::Values(2048u, 4096u, 8192u, 16384u,
                                            32768u));
+
+// ---------------------------------------------------------------------
+// Eviction-free size dominance: the exactness argument behind the DSE
+// sweep's pruning (dse/sweep.h)
+// ---------------------------------------------------------------------
+
+/// One cache with the owner behaviour a PE gives it (fill on a read or
+/// write-back write miss, write-through stores and writebacks land in a
+/// private memory), logging every outcome the owner observes.
+struct OwnedCache {
+  explicit OwnedCache(CacheConfig cfg) : cache(cfg) {}
+
+  void log_writeback(const std::optional<Writeback>& wb) {
+    log.push_back(wb.has_value() ? wb->line_addr : ~0ull);
+    if (!wb.has_value()) return;
+    log.insert(log.end(), wb->data.begin(), wb->data.end());
+    memory[wb->line_addr] = wb->data;
+  }
+  void fill(Addr a) {
+    log_writeback(cache.fill_line(a, memory[line_align(a)]));
+  }
+
+  void read(Addr a) {
+    const auto v = cache.read_word(a);
+    log.push_back(v.has_value() ? *v : ~0ull);
+    if (!v.has_value()) {
+      fill(a);
+      log.push_back(cache.peek_word(a));
+    }
+  }
+  void write(Addr a, std::uint32_t v) {
+    const bool done = cache.write_word(a, v);
+    log.push_back(done ? 1 : 0);
+    if (cache.config().policy == WritePolicy::kWriteThrough) {
+      memory[line_align(a)][static_cast<std::size_t>(word_in_line(a))] = v;
+    } else if (!done) {
+      fill(a);
+      cache.poke_word(a, v, /*mark_dirty=*/true);
+    }
+  }
+  void fill_if_absent(Addr a) {
+    log.push_back(cache.contains(a) ? 1 : 0);
+    if (!cache.contains(a)) fill(a);
+  }
+  void flush(Addr a) { log_writeback(cache.flush_line(a)); }
+  void invalidate(Addr a) {
+    log.push_back(cache.contains(a) ? 1 : 0);
+    cache.invalidate_line(a);
+  }
+
+  Cache cache;
+  std::map<Addr, LineData> memory;
+  std::vector<std::uint64_t> log;
+};
+
+TEST(CacheSizes, EvictionFreeRunIsIdenticalAtTwoAndFourTimesTheSize) {
+  // Random streams drive 2-way caches of S, 2S and 4S in lockstep.  A
+  // set of the larger cache only ever holds lines of one set of S, so a
+  // stream that never evicts at S never evicts at 2S or 4S either, and
+  // every outcome, writeback, counter and resident line must match.
+  constexpr std::uint32_t kS = 128;  // 8 lines in 4 sets
+  sim::Xoshiro256 rng(20260418);
+  int eviction_free = 0;
+  int evicting = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const WritePolicy policy =
+        trial % 2 == 0 ? WritePolicy::kWriteBack : WritePolicy::kWriteThrough;
+    std::vector<OwnedCache> caches;
+    for (std::uint32_t mult : {1u, 2u, 4u}) {
+      caches.emplace_back(CacheConfig{kS * mult, kLineBytes, 2, policy});
+    }
+    // A footprint of 1-10 lines scattered over 64 line slots.
+    std::vector<Addr> lines(1 + rng.next_below(10));
+    for (Addr& l : lines) l = rng.next_below(64) * kLineBytes;
+    for (int op = 0; op < 80; ++op) {
+      const auto line =
+          rng.next_below(static_cast<std::uint32_t>(lines.size()));
+      const Addr a = lines[line] + rng.next_below(kWordsPerLine) * kWordBytes;
+      const std::uint32_t kind = rng.next_below(10);
+      const auto v = static_cast<std::uint32_t>(rng.next());
+      for (OwnedCache& c : caches) {
+        if (kind < 4) {
+          c.read(a);
+        } else if (kind < 7) {
+          c.write(a, v);
+        } else if (kind < 8) {
+          c.fill_if_absent(a);
+        } else if (kind < 9) {
+          c.flush(a);
+        } else {
+          c.invalidate(a);
+        }
+      }
+    }
+    if (caches[0].cache.stats().get("cache.evictions") != 0) {
+      ++evicting;
+      continue;
+    }
+    ++eviction_free;
+    for (std::size_t k = 1; k < caches.size(); ++k) {
+      const Cache& big = caches[k].cache;
+      ASSERT_EQ(caches[k].log, caches[0].log)
+          << "trial " << trial << ", " << big.config().size_bytes << " B";
+      EXPECT_EQ(big.stats().counters(), caches[0].cache.stats().counters())
+          << "trial " << trial;
+      for (Addr l : lines) {
+        EXPECT_EQ(big.contains(l), caches[0].cache.contains(l));
+        EXPECT_EQ(big.line_dirty(l), caches[0].cache.line_dirty(l));
+      }
+    }
+  }
+  // Both branches must occur, or the property was never exercised.
+  EXPECT_GT(eviction_free, 50);
+  EXPECT_GT(evicting, 50);
+}
 
 }  // namespace
 }  // namespace medea::mem

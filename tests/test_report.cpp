@@ -48,12 +48,16 @@ TEST(Report, CurvesSortedByCores) {
 }
 
 TEST(Report, CsvHasHeaderAndOneRowPerPoint) {
-  const auto csv = to_csv(sample_points());
+  auto pts = sample_points();
+  pts[3].implied = true;  // 4P_16k$_WB
+  const auto csv = to_csv(pts);
   int lines = 0;
   for (char ch : csv) lines += ch == '\n';
   EXPECT_EQ(lines, 5);  // header + 4 points
   EXPECT_NE(csv.find("cores,cache_kb,policy"), std::string::npos);
-  EXPECT_NE(csv.find("2P_16k$_WB"), std::string::npos);
+  EXPECT_NE(csv.find(",label,implied\n"), std::string::npos);
+  EXPECT_NE(csv.find("2P_16k$_WB,0\n"), std::string::npos);
+  EXPECT_NE(csv.find("4P_16k$_WB,1\n"), std::string::npos);
 }
 
 TEST(Report, DatAlignsColumnsAcrossCurves) {
