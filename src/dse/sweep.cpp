@@ -7,7 +7,6 @@
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "apps/jacobi.h"
@@ -73,14 +72,10 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
   const std::size_t num_kb = spec.cache_kb.size();
   const std::size_t num_pol = spec.policies.size();
   std::vector<SweepPoint> out(spec.cores.size() * num_kb * num_pol);
-  for (int c : spec.cores) {
-    for (auto kb : spec.cache_kb) {
-      for (auto pol : spec.policies) make_design_config(c, kb, pol).validate();
-    }
-  }
 
   // One series per (cores, policy): its points as (slot in out[], L1
-  // kB), in ascending L1 size.
+  // kB), in ascending L1 size.  Every point is validated here, before
+  // any worker starts.
   struct Series {
     int cores;
     mem::WritePolicy policy;
@@ -88,15 +83,16 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
   };
   std::vector<std::size_t> by_size(num_kb);
   for (std::size_t k = 0; k < num_kb; ++k) by_size[k] = k;
-  std::stable_sort(by_size.begin(), by_size.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return spec.cache_kb[a] < spec.cache_kb[b];
-                   });
+  const auto smaller = [&](std::size_t a, std::size_t b) {
+    return spec.cache_kb[a] < spec.cache_kb[b];
+  };
+  std::stable_sort(by_size.begin(), by_size.end(), smaller);
   std::vector<Series> series;
   for (std::size_t ci = 0; ci < spec.cores.size(); ++ci) {
     for (std::size_t pi = 0; pi < num_pol; ++pi) {
       Series s{spec.cores[ci], spec.policies[pi], {}};
       for (std::size_t k : by_size) {
+        make_design_config(s.cores, spec.cache_kb[k], s.policy).validate();
         s.points.emplace_back((ci * num_kb + k) * num_pol + pi,
                               spec.cache_kb[k]);
       }
@@ -141,31 +137,29 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
   // its write buffer and costs many times its write-back twin, and more
   // cores mean more components to tick.  Handing those out first lets
   // the cheap series fill the tail.  Ties keep series order.
-  std::vector<std::size_t> order(series.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const auto cost_rank = [&series](std::size_t i) {
-    const Series& s = series[i];
-    return std::tuple(s.policy == mem::WritePolicy::kWriteThrough ? 0 : 1,
-                      -s.cores, i);
+  const auto cost_rank = [](const Series& s) {
+    return std::pair(s.policy == mem::WritePolicy::kWriteThrough ? 0 : 1,
+                     -s.cores);
   };
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+  const auto costlier = [&](const Series& a, const Series& b) {
     return cost_rank(a) < cost_rank(b);
-  });
+  };
+  std::stable_sort(series.begin(), series.end(), costlier);
 
   // One task per worker thread, not one async per point: each thread
-  // claims the next series in `order` from a shared counter until none
-  // is left, amortising its startup across every point it runs and
-  // reusing its thread-local coroutine FramePool, warm from its first
-  // point.  Within a series the first eviction-free point fills every
-  // larger size.  out[] is indexed by job, so result order stays
-  // deterministic however the series were claimed.
+  // claims the next series from a shared counter until none is left,
+  // amortising its startup across every point it runs and reusing its
+  // thread-local coroutine FramePool, warm from its first point.  Within
+  // a series the first eviction-free point fills every larger size.
+  // out[] is indexed by job, so result order stays deterministic however
+  // the series were claimed.
   std::atomic<std::size_t> next{0};
   std::mutex failure_mu;
   std::exception_ptr failure;
   auto worker = [&] {
     try {
-      for (std::size_t k = next++; k < order.size(); k = next++) {
-        const Series& s = series[order[k]];
+      for (std::size_t k = next++; k < series.size(); k = next++) {
+        const Series& s = series[k];
         const SweepPoint* clean = nullptr;  // first eviction-free point
         for (const auto& [slot, kb] : s.points) {
           if (clean != nullptr) {
@@ -184,7 +178,7 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
     } catch (...) {
       const std::lock_guard<std::mutex> lock(failure_mu);
       if (!failure) failure = std::current_exception();
-      next = order.size();  // no worker claims another series
+      next = series.size();  // no worker claims another series
     }
   };
   if (threads == 1) {

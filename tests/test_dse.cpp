@@ -203,8 +203,8 @@ TEST(Sweep, PrunedPointsMatchDirectRuns) {
         }
       }
       ASSERT_NE(source, nullptr) << p.label;
-      EXPECT_EQ(source->l1_evictions, 0u) << p.label << " from "
-                                          << source->label;
+      EXPECT_EQ(source->l1_evictions, 0u)
+          << p.label << " from " << source->label;
       EXPECT_EQ(p.cycles_per_iteration, source->cycles_per_iteration);
     }
     if (n == 16) {

@@ -35,8 +35,8 @@ struct GoldenPoint {
 };
 
 struct Golden {
-  std::vector<GoldenPoint> table;      ///< row-major, as the file lists it
-  std::vector<std::string> frontier;   ///< ascending area
+  std::vector<GoldenPoint> table;     ///< row-major, as the file lists it
+  std::vector<std::string> frontier;  ///< ascending area
   std::string knee;
 };
 
