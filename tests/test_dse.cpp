@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
 #include <stdexcept>
+#include <vector>
 
 #include "dse/area.h"
 #include "dse/pareto.h"
@@ -165,6 +168,26 @@ TEST(Sweep, InvalidPointThrowsOnAnyThreadCount) {
   }
 }
 
+/// run_design_point for every point of `pts`, on four threads (the
+/// write-through points make this the slow part of the test).
+std::vector<SweepPoint> run_directly(const SweepSpec& spec,
+                                     const std::vector<SweepPoint>& pts) {
+  std::vector<SweepPoint> out(pts.size());
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t i = next++; i < pts.size(); i = next++) {
+      out[i] = run_design_point(spec, pts[i].cores, pts[i].cache_kb,
+                                pts[i].policy);
+    }
+  };
+  std::vector<std::future<void>> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.push_back(std::async(std::launch::async, worker));
+  }
+  for (auto& w : workers) w.get();
+  return out;
+}
+
 TEST(Sweep, PrunedPointsMatchDirectRuns) {
   // Every point of the pruned sweep, implied or not, must equal a direct
   // run_design_point of the same point; an implied point must come from
@@ -176,10 +199,11 @@ TEST(Sweep, PrunedPointsMatchDirectRuns) {
     spec.cache_kb = {2, 4, 8, 16, 32, 64};
     const auto pts = run_sweep(spec);
     ASSERT_EQ(pts.size(), 36u);
+    const auto directs = run_directly(spec, pts);
     std::size_t implied = 0;
-    for (const auto& p : pts) {
-      const SweepPoint direct =
-          run_design_point(spec, p.cores, p.cache_kb, p.policy);
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const SweepPoint& p = pts[i];
+      const SweepPoint& direct = directs[i];
       EXPECT_EQ(p.label, direct.label);
       EXPECT_EQ(p.cycles_per_iteration, direct.cycles_per_iteration)
           << p.label << " at n = " << n;
