@@ -181,6 +181,7 @@ std::vector<SweepPoint> run_directly(const SweepSpec& spec,
     }
   };
   std::vector<std::future<void>> workers;
+  workers.reserve(4);
   for (int t = 0; t < 4; ++t) {
     workers.push_back(std::async(std::launch::async, worker));
   }
