@@ -121,9 +121,10 @@ TEST(Sweep, MiniatureDesignSpaceProducesSanePoints) {
 }
 
 TEST(Sweep, ResultsIndependentOfThreadCount) {
-  // Workers claim points costliest first (WT, then small L1), out of job
-  // order; results must still come back in job order, with the same
-  // values, whatever the thread count.
+  // Workers claim whole series costliest first (WT, then more cores),
+  // out of job order; results must still come back in job order, with
+  // the same values and the same implied points, whatever the thread
+  // count.
   SweepSpec spec;
   spec.n = 8;
   spec.cores = {2, 3};
@@ -145,6 +146,7 @@ TEST(Sweep, ResultsIndependentOfThreadCount) {
         EXPECT_EQ(par[i].label, label);
         EXPECT_EQ(seq[i].cycles_per_iteration, par[i].cycles_per_iteration)
             << label;
+        EXPECT_EQ(seq[i].implied, par[i].implied) << label;
         ++i;
       }
     }
