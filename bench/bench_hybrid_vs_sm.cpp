@@ -14,10 +14,12 @@
 ///    (vs 2x-5x) where the miss rate is negligible.
 ///  * => at least 100*2.8/5 = 56% of the peak 5x gain comes from
 ///    synchronization alone.
+///
+/// `run_workload jacobi|jacobi-sync|jacobi-sm --size=N` runs the three
+/// variants at any other array size.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "apps/jacobi.h"
@@ -46,8 +48,7 @@ double run_variant(int n, int cores, std::uint32_t cache_kb,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int n = argc > 1 ? std::atoi(argv[1]) : 60;
-  if (n < 4) n = 60;  // ignore non-numeric argv (e.g. harness flags)
+  const int n = 60;
   std::printf("# Hybrid vs shared memory, %dx%d array, write-back\n", n, n);
   std::printf("%-5s %-6s %10s %12s %10s %9s %9s %12s\n", "cores", "L1",
               "hybridMP", "sync-only", "pureSM", "mp/sm", "sync/sm",

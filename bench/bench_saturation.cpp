@@ -4,8 +4,8 @@
 /// Two kinds of cases per network:
 ///  * one timed case per load point (`uniform/<net>/l<load>`), emitting
 ///    the measured latency percentiles (p50/p99/p999), mean, and
-///    offered/accepted throughput as metrics — these are the numbers
-///    bench_trend.py trends PR over PR;
+///    offered/accepted throughput as metrics — the numbers CI archives
+///    in its per-commit bench JSON artifact;
 ///  * one `curve` case running the full `sweep_load()` twice: phased
 ///    runs are deterministic, so the two curves — including the detected
 ///    saturation point — must match exactly.  The `saturation_stable`
@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
       row.metric("drained", m.drained ? 1.0 : 0.0);
       // Deflection forensics scalars (identically zero on the XY fabric,
       // which never misroutes): worst per-packet deflection count and
-      // the mean — the congestion signal bench_trend.py tracks PR over
-      // PR alongside the latency percentiles.
+      // the mean — the congestion signal archived with every commit
+      // alongside the latency percentiles.
       row.metric("max_deflections", stats.acc("noc.deflections").max());
       row.metric("mean_deflections", stats.acc("noc.deflections").mean());
       report.add(std::move(row));

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -176,11 +175,8 @@ int main(int argc, char** argv) {
   int only_shards = -1;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--shards=", 0) != 0) continue;
-    only_shards = std::atoi(a.c_str() + 9);
-    if (only_shards < 1) {
-      std::fprintf(stderr, "error: --shards must be at least 1\n");
-      return 1;
+    if (a.rfind("--shards=", 0) == 0) {
+      only_shards = bench::int_flag(a, "--shards", 1);
     }
   }
   bench::Report report("sim_speed", argc, argv);

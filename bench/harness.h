@@ -6,9 +6,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "cli_flags.h"
 
 /// \file harness.h
 /// Shared benchmark harness for every bench_* binary.
@@ -144,6 +149,17 @@ Measurement run_case(std::string name, std::string config,
   return m;
 }
 
+/// The int after "<flag>=" in `arg`, at least `lo`.  A malformed value
+/// exits 1 with an error that names the flag, before any case runs.
+inline int int_flag(std::string_view arg, const char* flag, int lo) {
+  try {
+    return cli::parse_num<int>(arg.substr(std::strlen(flag) + 1), lo);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s: %s\n", flag, e.what());
+    std::exit(1);  // NOLINT(concurrency-mt-unsafe): no thread started yet
+  }
+}
+
 // ---------------------------------------------------------------------
 // JSON output
 // ---------------------------------------------------------------------
@@ -193,18 +209,19 @@ class Report {
   /// output file BENCH_foo.json.  `defaults` seeds the run options
   /// (e.g. single-repetition for deterministic sweeps) and argv is then
   /// scanned for harness flags, so user flags always win:
-  ///   --reps=N       override repetitions
-  ///   --warmup=N     override warm-up invocations
+  ///   --reps=N       override repetitions (N >= 1)
+  ///   --warmup=N     override warm-up invocations (N >= 0)
   ///   --json-dir=D   directory for the JSON file (default ".")
+  /// A malformed --reps or --warmup value exits 1 (int_flag).
   explicit Report(std::string name, int argc = 0, char** argv = nullptr,
                   RunOptions defaults = {})
       : name_(std::move(name)), opt_(defaults) {
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
       if (a.rfind("--reps=", 0) == 0) {
-        opt_.repetitions = std::atoi(a.c_str() + 7);
+        opt_.repetitions = int_flag(a, "--reps", 1);
       } else if (a.rfind("--warmup=", 0) == 0) {
-        opt_.warmup = std::atoi(a.c_str() + 9);
+        opt_.warmup = int_flag(a, "--warmup", 0);
       } else if (a.rfind("--json-dir=", 0) == 0) {
         json_dir_ = a.substr(11);
       }

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file cli_flags.h
-/// Typed command-line values for the example CLIs.  A malformed value —
-/// empty, trailing garbage, out of range, an unknown enum spelling —
-/// throws std::invalid_argument; each CLI reports it with the flag's
-/// name and exits 1.
+/// Typed command-line values for the example CLIs and the benches'
+/// harness flags.  A malformed value — empty, trailing garbage, out of
+/// range, an unknown enum spelling — throws std::invalid_argument; each
+/// CLI reports it with the flag's name and exits 1.
 ///
 /// Messages are built with += rather than `const char* + std::string`
 /// chains, which trip a GCC 12 -Wrestrict false positive at -O3.
@@ -45,6 +45,21 @@ T parse_num(std::string_view v, T lo = std::numeric_limits<T>::lowest(),
     throw std::invalid_argument(quoted() + range.str());
   }
   return x;
+}
+
+/// argv[i] as an int in [lo, hi], or `fallback` when it was not given.
+/// A malformed value throws std::invalid_argument prefixed with `name`.
+inline int positional(int argc, char** argv, int i, const char* name,
+                      int fallback, int lo, int hi) {
+  if (argc <= i) return fallback;
+  try {
+    return parse_num<int>(argv[i], lo, hi);
+  } catch (const std::invalid_argument& e) {
+    std::string msg = name;
+    msg += ": ";
+    msg += e.what();
+    throw std::invalid_argument(msg);
+  }
 }
 
 /// The value `v` names among `choices`; anything else is an error that

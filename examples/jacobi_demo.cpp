@@ -6,21 +6,27 @@
 /// hardware statistics that explain them (NoC traffic, cache hit rates,
 /// MPMMU transactions).
 ///
-/// Usage: ./examples/jacobi_demo [grid_n] [cores] [cache_kb]
+/// Usage: ./examples/jacobi_demo [grid_n >= 4] [cores 1..15] [cache_kb]
+/// (defaults 30, 8 and 16); a bad argument exits 1 with an error.
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
+#include <limits>
 
 #include "apps/jacobi.h"
+#include "cli_flags.h"
 #include "core/medea.h"
 
 using namespace medea;
 
-int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 30;
-  const int cores = argc > 2 ? std::atoi(argv[2]) : 8;
-  const auto cache_kb =
-      argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 16u;
+namespace {
+
+int demo(int argc, char** argv) {
+  const int n = cli::positional(argc, argv, 1, "grid_n", 30, 4,
+                                std::numeric_limits<int>::max());
+  const int cores = cli::positional(argc, argv, 2, "cores", 8, 1, 15);
+  const auto cache_kb = static_cast<std::uint32_t>(
+      cli::positional(argc, argv, 3, "cache_kb", 16, 1, 1 << 21));
 
   std::printf("Jacobi %dx%d on %d cores + MPMMU, %u kB WB L1\n\n", n, n, cores,
               cache_kb);
@@ -57,4 +63,15 @@ int main(int argc, char** argv) {
               "synchronization; the gap versus pure shared memory is the\n"
               "paper's headline result (2x-5x at 60x60).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return demo(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -8,11 +8,13 @@
 /// Prints the cycles per item for both, demonstrating why the paper moves
 /// synchronization off the memory hierarchy.
 ///
-/// Usage: ./examples/producer_consumer [items]
+/// Usage: ./examples/producer_consumer [items >= 1, default 64]
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <stdexcept>
 
+#include "cli_flags.h"
 #include "core/medea.h"
 
 using namespace medea;
@@ -83,7 +85,14 @@ sim::Task<> mp_consumer(pe::ProcessingElement& pe, int producer, int items,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int items = argc > 1 ? std::atoi(argv[1]) : 64;
+  int items = 0;
+  try {
+    items = cli::positional(argc, argv, 1, "items", 64, 1,
+                            std::numeric_limits<int>::max());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   core::MedeaConfig cfg;
   cfg.num_compute_cores = 2;
 

@@ -1,44 +1,129 @@
 #include "dse/report.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
-#include <set>
 #include <sstream>
-#include <utility>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 namespace medea::dse {
 
+namespace {
+
+/// A cycle count in the shortest form that reads back as the same
+/// double: 1293880, never the stream default's 1.29388e+06.
+std::string num(double v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
+}
+
+/// printf onto the end of `out` (one table cell or one text line).
+template <typename... Args>
+void appendf(std::string& out, const char* format, Args... args) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, format, args...);
+  out += buf;
+}
+
+/// Every core count of `curves`, ascending, each with one y per curve:
+/// that curve's cycles there, or NaN where it has no point.
+std::map<int, std::vector<double>> rows_by_cores(
+    const std::vector<ExecTimeCurve>& curves) {
+  std::map<int, std::vector<double>> rows;
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    for (std::size_t k = 0; k < curves[i].cores.size(); ++k) {
+      auto& row = rows[curves[i].cores[k]];
+      row.resize(curves.size(), std::numeric_limits<double>::quiet_NaN());
+      row[i] = curves[i].cycles[k];
+    }
+  }
+  return rows;
+}
+
+}  // namespace
+
 std::vector<ExecTimeCurve> exec_time_curves(
     const std::vector<SweepPoint>& pts) {
-  // Group by (cache, policy), x-sorted by cores.
-  std::map<std::pair<std::uint32_t, int>, ExecTimeCurve> curves;
-  for (const auto& p : pts) {
-    auto& c = curves[{p.cache_kb, static_cast<int>(p.policy)}];
-    if (c.title.empty()) {
-      c.title = std::to_string(p.cache_kb) + "kB $ " + mem::to_string(p.policy);
-    }
-    c.cores.push_back(p.cores);
-    c.cycles.push_back(p.cycles_per_iteration);
-  }
+  std::vector<const SweepPoint*> order;
+  order.reserve(pts.size());
+  for (const auto& p : pts) order.push_back(&p);
+  std::sort(order.begin(), order.end(),
+            [](const SweepPoint* a, const SweepPoint* b) {
+              return std::tie(a->policy, a->cache_kb, a->cores) <
+                     std::tie(b->policy, b->cache_kb, b->cores);
+            });
   std::vector<ExecTimeCurve> out;
-  out.reserve(curves.size());
-  for (auto& [k, c] : curves) {
-    // Sort each curve by core count.
-    std::vector<std::size_t> idx(c.cores.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      return c.cores[a] < c.cores[b];
-    });
-    ExecTimeCurve sorted;
-    sorted.title = c.title;
-    for (std::size_t i : idx) {
-      sorted.cores.push_back(c.cores[i]);
-      sorted.cycles.push_back(c.cycles[i]);
+  for (const SweepPoint* p : order) {
+    if (out.empty() || out.back().policy != p->policy ||
+        out.back().cache_kb != p->cache_kb) {
+      auto& c = out.emplace_back();
+      c.cache_kb = p->cache_kb;
+      c.policy = p->policy;
+      c.title = std::to_string(p->cache_kb) + "kB $ " +
+                mem::to_string(p->policy);
     }
-    out.push_back(std::move(sorted));
+    out.back().cores.push_back(p->cores);
+    out.back().cycles.push_back(p->cycles_per_iteration);
   }
+  return out;
+}
+
+std::vector<SweepPoint> subset(const std::vector<SweepPoint>& pts,
+                               mem::WritePolicy policy, std::uint32_t max_kb) {
+  std::vector<SweepPoint> out;
+  for (const auto& p : pts) {
+    if (p.policy == policy && p.cache_kb <= max_kb) out.push_back(p);
+  }
+  return out;
+}
+
+std::string exec_time_table(const std::vector<SweepPoint>& pts) {
+  const auto curves = exec_time_curves(pts);
+  std::string out = "cores ";
+  for (const auto& c : curves) {
+    const std::string column =
+        std::to_string(c.cache_kb) + "k$" + mem::to_string(c.policy);
+    appendf(out, "%10s", column.c_str());
+  }
+  for (const auto& [cores, ys] : rows_by_cores(curves)) {
+    appendf(out, "\n%-6d", cores);
+    for (double y : ys) appendf(out, "%10.0f", y);
+  }
+  return out + '\n';
+}
+
+Frontier speedup_frontier(const std::vector<SweepPoint>& pts) {
+  const auto pareto = pareto_frontier(to_design_points(pts));
+  if (pareto.empty()) return {};
+  // The paper normalises against the smallest-area configuration.
+  return {speedup_curve(pareto, pareto.front().exec_cycles),
+          kill_rule_knee(pareto)};
+}
+
+std::string frontier_text(const std::vector<SweepPoint>& pts) {
+  const Frontier f = speedup_frontier(pts);
+  std::string out;
+  const auto line = [&out](std::string head, const SpeedupPoint& p) {
+    head += p.label;
+    appendf(out, "%-22s # %5.2f mm2, speedup %5.2f\n", head.c_str(),
+            p.area_mm2, p.speedup);
+  };
+  for (const auto& p : f.points) line("frontier ", p);
+  if (!f.points.empty()) line("knee ", f.points[f.knee]);
+  return out;
+}
+
+std::string point_counts(const std::vector<SweepPoint>& pts) {
+  const std::size_t implied = count_implied(pts);
+  std::string out;
+  appendf(out, "# %zu design points: %zu simulated, %zu implied\n",
+          pts.size(), pts.size() - implied, implied);
   return out;
 }
 
@@ -47,36 +132,20 @@ std::string to_csv(const std::vector<SweepPoint>& pts) {
   os << "cores,cache_kb,policy,cycles_per_iteration,area_mm2,label,implied\n";
   for (const auto& p : pts) {
     os << p.cores << ',' << p.cache_kb << ',' << mem::to_string(p.policy)
-       << ',' << p.cycles_per_iteration << ',' << p.area_mm2 << ','
+       << ',' << num(p.cycles_per_iteration) << ',' << p.area_mm2 << ','
        << p.label << ',' << (p.implied ? 1 : 0) << '\n';
   }
   return std::move(os).str();
 }
 
 std::string exec_time_dat(const std::vector<ExecTimeCurve>& curves) {
-  // Collect the union of core counts.
-  std::set<int> xs;
-  for (const auto& c : curves) xs.insert(c.cores.begin(), c.cores.end());
   std::ostringstream os;
   os << "# cores";
   for (const auto& c : curves) os << " \"" << c.title << '"';
   os << '\n';
-  for (int x : xs) {
-    os << x;
-    for (const auto& c : curves) {
-      double y = -1.0;
-      for (std::size_t i = 0; i < c.cores.size(); ++i) {
-        if (c.cores[i] == x) {
-          y = c.cycles[i];
-          break;
-        }
-      }
-      if (y < 0) {
-        os << " NaN";
-      } else {
-        os << ' ' << y;
-      }
-    }
+  for (const auto& [cores, ys] : rows_by_cores(curves)) {
+    os << cores;
+    for (double y : ys) os << ' ' << (std::isnan(y) ? "NaN" : num(y));
     os << '\n';
   }
   return std::move(os).str();

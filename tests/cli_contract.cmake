@@ -1,8 +1,9 @@
-# One example-CLI invocation checked against the CLI contract: its exit
-# code, and a regular expression its stderr must match.
+# One example- or bench-CLI invocation checked against the CLI contract:
+# its exit code, and regular expressions its stderr and stdout must match.
 #
 #   cmake -DCLI=<binary> "-DARGS=<args>" -DEXPECT_EXIT=<code>
-#         [-DEXPECT_STDERR=<regex>] -P cli_contract.cmake
+#         [-DEXPECT_STDERR=<regex>] [-DEXPECT_STDOUT=<regex>]
+#         -P cli_contract.cmake
 #
 # ARGS is one space-separated string (split with UNIX shell rules).
 
@@ -20,4 +21,8 @@ endif()
 if(DEFINED EXPECT_STDERR AND NOT err MATCHES "${EXPECT_STDERR}")
   message(FATAL_ERROR "${CLI} ${ARGS}: stderr does not match "
     "'${EXPECT_STDERR}'\nstderr:\n${err}")
+endif()
+if(DEFINED EXPECT_STDOUT AND NOT out MATCHES "${EXPECT_STDOUT}")
+  message(FATAL_ERROR "${CLI} ${ARGS}: stdout does not match "
+    "'${EXPECT_STDOUT}'\nstdout:\n${out}")
 endif()

@@ -6,134 +6,93 @@
 ///  * Fig. 8/9: the 70 write-back 2-32 kB points at 30x30, then the
 ///    frontier and knee of the whole 30x30 design space.
 ///
-/// The goldens in tests/golden/ are the figure harnesses' output.  A
-/// change that moves any value changes the model, so each case names the
-/// first design point (or frontier position) that differs.  Both cases
-/// carry the CTest label `paper`.
+/// The goldens in tests/golden/ are the figure harnesses' output, and
+/// each case renders the same text through dse/report.h.  Both sides
+/// drop `#` comments, trailing blanks and blank lines, then compare line
+/// by line: a change that moves any value changes the model, so the
+/// first differing line fails the case with the golden line number, the
+/// golden text and the rendered text.  Both cases carry the CTest label
+/// `paper`.
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <istream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dse/pareto.h"
+#include "dse/report.h"
 #include "dse/sweep.h"
 
 namespace medea::dse {
 namespace {
 
-struct GoldenPoint {
-  int cores = 0;
-  std::uint32_t cache_kb = 0;
-  mem::WritePolicy policy = mem::WritePolicy::kWriteBack;
-  double cycles = 0.0;
-};
+/// The data lines of `in` with their 1-based line numbers: `#` comments,
+/// trailing blanks and blank lines dropped.
+std::vector<std::pair<int, std::string>> data_lines(std::istream& in) {
+  std::vector<std::pair<int, std::string>> out;
+  int number = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++number;
+    line.erase(std::min(line.find('#'), line.size()));
+    line.erase(line.find_last_not_of(" \t\r") + 1);
+    if (!line.empty()) out.emplace_back(number, std::move(line));
+  }
+  return out;
+}
 
-struct Golden {
-  std::vector<GoldenPoint> table;     ///< row-major, as the file lists it
-  std::vector<std::string> frontier;  ///< ascending area
-  std::string knee;
-};
-
-/// Parses a golden file: a `cores` header naming each column ("16k$WB"),
-/// one row of cycles per core count, then `frontier <label>` lines and
-/// one `knee <label>` line.  `#` lines and blank lines are comments.
-Golden load_golden(const std::string& file) {
+void expect_matches_golden(const std::string& file,
+                           const std::string& rendered) {
   const std::string path = std::string(MEDEA_GOLDEN_DIR) + "/" + file;
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  Golden g;
-  std::vector<std::pair<std::uint32_t, mem::WritePolicy>> columns;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream row(line);
-    std::string head;
-    row >> head;
-    if (head == "cores") {
-      for (std::string col; row >> col;) {
-        const auto k = col.find("k$");
-        columns.emplace_back(
-            static_cast<std::uint32_t>(std::stoul(col.substr(0, k))),
-            col.substr(k + 2) == "WT" ? mem::WritePolicy::kWriteThrough
-                                      : mem::WritePolicy::kWriteBack);
-      }
-    } else if (head == "frontier") {
-      row >> g.frontier.emplace_back();
-    } else if (head == "knee") {
-      row >> g.knee;
-    } else {
-      const int cores = std::stoi(head);
-      for (const auto& [kb, policy] : columns) {
-        double cycles = 0.0;
-        if (!(row >> cycles)) throw std::runtime_error("short row: " + line);
-        g.table.push_back({cores, kb, policy, cycles});
-      }
+  std::ifstream golden_in(path);
+  ASSERT_TRUE(golden_in) << "cannot open " << path;
+  std::istringstream rendered_in(rendered);
+  const auto golden = data_lines(golden_in);
+  const auto got = data_lines(rendered_in);
+  const int end_line = golden.empty() ? 1 : golden.back().first + 1;
+  for (std::size_t i = 0; i < golden.size() || i < got.size(); ++i) {
+    const std::string want = i < golden.size() ? golden[i].second : "(end)";
+    const std::string have = i < got.size() ? got[i].second : "(end)";
+    const int line = i < golden.size() ? golden[i].first : end_line;
+    if (want != have) {
+      FAIL() << file << ":" << line << ": first line that differs\n"
+             << "  golden:   " << want << "\n  rendered: " << have;
     }
   }
-  return g;
 }
 
-/// The first golden point whose sweep value differs or is missing, as a
-/// message naming it; empty when every golden point matches.
-std::string first_table_mismatch(const Golden& g,
-                                 const std::vector<SweepPoint>& pts) {
-  for (const auto& want : g.table) {
-    const std::string label =
-        make_design_config(want.cores, want.cache_kb, want.policy).label();
-    const SweepPoint* got = nullptr;
-    for (const auto& p : pts) {
-      if (p.label == label) got = &p;
-    }
-    if (got == nullptr) return label + ": not in the sweep";
-    if (got->cycles_per_iteration != want.cycles) {
-      std::ostringstream os;
-      os << label << ": golden " << want.cycles << " cycles, sweep "
-         << got->cycles_per_iteration;
-      return os.str();
-    }
+/// Every compared cycle count is a whole number, so comparing `%10.0f`
+/// text is as strict as comparing the doubles.
+void expect_integral_cycles(const std::vector<SweepPoint>& pts) {
+  for (const auto& p : pts) {
+    EXPECT_EQ(p.cycles_per_iteration, std::floor(p.cycles_per_iteration))
+        << p.label;
   }
-  return "";
-}
-
-/// The Pareto frontier and Kill-rule knee against the golden labels,
-/// naming the first position that differs.
-void expect_frontier(const Golden& g, const std::vector<SweepPoint>& pts) {
-  const auto frontier = pareto_frontier(to_design_points(pts));
-  for (std::size_t i = 0; i < g.frontier.size() || i < frontier.size(); ++i) {
-    const std::string want = i < g.frontier.size() ? g.frontier[i] : "(end)";
-    const std::string got = i < frontier.size() ? frontier[i].label : "(end)";
-    ASSERT_EQ(want, got) << "first differing frontier position " << i;
-  }
-  EXPECT_EQ(g.knee, frontier[kill_rule_knee(frontier)].label);
 }
 
 TEST(PaperFigures, Fig6TableAndFig7Frontier60x60) {
-  const Golden g = load_golden("fig6_60x60.txt");
-  ASSERT_EQ(g.table.size(), 168u);
   SweepSpec spec;  // the paper's space: n = 60, 14 x 6 x 2 points
   const auto pts = run_sweep(spec);
   ASSERT_EQ(pts.size(), 168u);
-  const std::string mismatch = first_table_mismatch(g, pts);
-  EXPECT_TRUE(mismatch.empty()) << "first differing point: " << mismatch;
-  expect_frontier(g, pts);
+  expect_integral_cycles(pts);
+  expect_matches_golden("fig6_60x60.txt",
+                        exec_time_table(pts) + frontier_text(pts));
 }
 
 TEST(PaperFigures, Fig8TableAndFig9Frontier30x30) {
-  const Golden g = load_golden("fig8_30x30.txt");
-  ASSERT_EQ(g.table.size(), 70u);
   SweepSpec spec;
   spec.n = 30;  // Fig. 9's frontier spans the whole 30x30 space
   const auto pts = run_sweep(spec);
   ASSERT_EQ(pts.size(), 168u);
-  const std::string mismatch = first_table_mismatch(g, pts);
-  EXPECT_TRUE(mismatch.empty()) << "first differing point: " << mismatch;
-  expect_frontier(g, pts);
+  const auto fig8 = subset(pts, mem::WritePolicy::kWriteBack, 32);
+  ASSERT_EQ(fig8.size(), 70u);
+  expect_integral_cycles(pts);
+  expect_matches_golden("fig8_30x30.txt",
+                        exec_time_table(fig8) + frontier_text(pts));
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "dse/report.h"
 
@@ -45,6 +49,64 @@ TEST(Report, CurvesSortedByCores) {
   for (const auto& c : curves) {
     EXPECT_TRUE(std::is_sorted(c.cores.begin(), c.cores.end()));
   }
+}
+
+/// Every point of cores x kbs x {WB, WT} in a fixed shuffled order, with
+/// cycles 1000 * cores + kb, plus 500 under write-through.
+std::vector<SweepPoint> shuffled_space(const std::vector<int>& cores,
+                                       const std::vector<std::uint32_t>& kbs) {
+  std::vector<SweepPoint> pts;
+  for (int c : cores) {
+    for (std::uint32_t kb : kbs) {
+      for (int wt = 0; wt < 2; ++wt) {
+        SweepPoint& p = pts.emplace_back();
+        p.cores = c;
+        p.cache_kb = kb;
+        p.policy = wt != 0 ? mem::WritePolicy::kWriteThrough
+                           : mem::WritePolicy::kWriteBack;
+        p.cycles_per_iteration = 1000.0 * c + kb + 500.0 * wt;
+      }
+    }
+  }
+  std::shuffle(pts.begin(), pts.end(), std::mt19937(7));
+  return pts;
+}
+
+TEST(Report, TableColumnsAndRowsAreSorted) {
+  // Write-back before write-through, sizes ascending; rows by cores.
+  EXPECT_EQ(exec_time_table(shuffled_space({12, 2}, {16, 2})),
+            "cores      2k$WB    16k$WB     2k$WT    16k$WT\n"
+            "2           2002      2016      2502      2516\n"
+            "12         12002     12016     12502     12516\n");
+}
+
+TEST(Report, TableOfSubsetPrintsOnlyItsColumns) {
+  const auto fig8 = subset(shuffled_space({5, 2}, {64, 2, 32, 4}),
+                           mem::WritePolicy::kWriteBack, 32);
+  EXPECT_EQ(exec_time_table(fig8),
+            "cores      2k$WB     4k$WB    32k$WB\n"
+            "2           2002      2004      2032\n"
+            "5           5002      5004      5032\n");
+}
+
+TEST(Report, FrontierTextListsParetoThenKnee) {
+  // B and D are dominated.  A -> C buys 300% speed for 200% more area,
+  // C -> E only 25% for 67%, so the Kill rule stops at C.
+  const double cycles[] = {1000.0, 1200.0, 250.0, 500.0, 200.0};
+  std::vector<SweepPoint> pts(5);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    pts[i].area_mm2 = 1.0 + static_cast<double>(i);
+    pts[i].cycles_per_iteration = cycles[i];
+    pts[i].label = std::string(1, static_cast<char>('A' + i));
+  }
+  pts[1].implied = true;
+  std::shuffle(pts.begin(), pts.end(), std::mt19937(3));
+  EXPECT_EQ(frontier_text(pts),
+            "frontier A             #  1.00 mm2, speedup  1.00\n"
+            "frontier C             #  3.00 mm2, speedup  4.00\n"
+            "frontier E             #  5.00 mm2, speedup  5.00\n"
+            "knee C                 #  3.00 mm2, speedup  4.00\n");
+  EXPECT_EQ(point_counts(pts), "# 5 design points: 4 simulated, 1 implied\n");
 }
 
 TEST(Report, CsvHasHeaderAndOneRowPerPoint) {
