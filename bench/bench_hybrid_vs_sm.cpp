@@ -48,14 +48,13 @@ double run_variant(int n, int cores, std::uint32_t cache_kb,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Report report("hybrid_vs_sm", argc, argv,
+                       bench::RunOptions{.warmup = 0, .repetitions = 1});
   const int n = 60;
   std::printf("# Hybrid vs shared memory, %dx%d array, write-back\n", n, n);
   std::printf("%-5s %-6s %10s %12s %10s %9s %9s %12s\n", "cores", "L1",
               "hybridMP", "sync-only", "pureSM", "mp/sm", "sync/sm",
               "sync_share");
-
-  bench::Report report("hybrid_vs_sm", argc, argv,
-                       bench::RunOptions{.warmup = 0, .repetitions = 1});
 
   for (std::uint32_t kb : {4u, 16u}) {
     for (int cores : {2, 4, 6, 8, 10, 12, 15}) {

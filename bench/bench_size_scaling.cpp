@@ -16,15 +16,14 @@
 using namespace medea;
 
 int main(int argc, char** argv) {
+  bench::Report report("size_scaling", argc, argv,
+                       bench::RunOptions{.warmup = 0, .repetitions = 1});
   std::printf("# Data-size scaling, hybrid MP, 16 kB WB caches\n");
   std::printf("# (speedup vs 1 core at the same size; >P-fold speedup is\n");
   std::printf("#  real cache aggregation: P cores bring P x 16 kB of L1,\n");
   std::printf("#  the same effect behind the paper's superlinear Fig. 7)\n");
   std::printf("%-6s %12s %8s %12s %8s %12s %8s\n", "cores", "16x16", "spdup",
               "30x30", "spdup", "60x60", "spdup");
-
-  bench::Report report("size_scaling", argc, argv,
-                       bench::RunOptions{.warmup = 0, .repetitions = 1});
 
   double base[3] = {0, 0, 0};
   for (int cores : {1, 2, 4, 6, 8, 10, 12, 15}) {

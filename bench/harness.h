@@ -26,7 +26,7 @@
 ///
 /// Usage pattern:
 ///
-///   bench::Report report("sim_speed", argc, argv);
+///   bench::Report report("jacobi", argc, argv);
 ///   report.add(bench::run_case("jacobi/8c", "cores=8 l1=16kB",
 ///                              report.options(), [&] {
 ///     core::MedeaSystem sys(make_config(...));
@@ -202,6 +202,14 @@ inline std::string json_number(double v) {
   return buf;
 }
 
+/// A flag one bench declares on top of the harness's own:
+/// "<name>=N" with N >= lo, stored in *value.
+struct IntFlag {
+  const char* name;  ///< e.g. "--shards"
+  int lo;
+  int* value;
+};
+
 /// Collects Measurements and writes BENCH_<name>.json on finish().
 class Report {
  public:
@@ -212,18 +220,24 @@ class Report {
   ///   --reps=N       override repetitions (N >= 1)
   ///   --warmup=N     override warm-up invocations (N >= 0)
   ///   --json-dir=D   directory for the JSON file (default ".")
-  /// A malformed --reps or --warmup value exits 1 (int_flag).
+  /// plus the bench's own `flags`.  A malformed value (int_flag) or any
+  /// other argument, positional or flag, exits 1 naming it, before any
+  /// case runs.
   explicit Report(std::string name, int argc = 0, char** argv = nullptr,
-                  RunOptions defaults = {})
+                  RunOptions defaults = {}, std::vector<IntFlag> flags = {})
       : name_(std::move(name)), opt_(defaults) {
     for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a.rfind("--reps=", 0) == 0) {
+      const std::string_view a = argv[i];
+      if (a.starts_with("--reps=")) {
         opt_.repetitions = int_flag(a, "--reps", 1);
-      } else if (a.rfind("--warmup=", 0) == 0) {
+      } else if (a.starts_with("--warmup=")) {
         opt_.warmup = int_flag(a, "--warmup", 0);
-      } else if (a.rfind("--json-dir=", 0) == 0) {
+      } else if (a.starts_with("--json-dir=")) {
         json_dir_ = a.substr(11);
+      } else if (const IntFlag* f = declared(flags, a)) {
+        *f->value = int_flag(a, f->name, f->lo);
+      } else {
+        unknown_argument(a, flags);
       }
     }
   }
@@ -302,6 +316,31 @@ class Report {
   }
 
  private:
+  /// The declared flag `arg` sets ("<name>=..."), or nullptr.
+  static const IntFlag* declared(const std::vector<IntFlag>& flags,
+                                 std::string_view arg) {
+    for (const IntFlag& f : flags) {
+      const std::string_view name = f.name;
+      if (arg.starts_with(name) && arg.substr(name.size()).starts_with('=')) {
+        return &f;
+      }
+    }
+    return nullptr;
+  }
+
+  [[noreturn]] static void unknown_argument(std::string_view arg,
+                                            const std::vector<IntFlag>& flags) {
+    std::string accepted = "--reps=N --warmup=N --json-dir=DIR";
+    for (const IntFlag& f : flags) {
+      accepted += ' ';
+      accepted += f.name;
+      accepted += "=N";
+    }
+    std::fprintf(stderr, "error: unknown argument '%.*s' (accepted: %s)\n",
+                 static_cast<int>(arg.size()), arg.data(), accepted.c_str());
+    std::exit(1);  // NOLINT(concurrency-mt-unsafe): no thread started yet
+  }
+
   std::string name_;
   std::string json_dir_ = ".";
   RunOptions opt_;

@@ -11,7 +11,7 @@
 /// Options are generated from the RunRequest parameter structs and
 /// grouped the same way (--help prints the full table).  Flags only
 /// engage the request section they belong to, so a knob that does not
-/// apply to the chosen workload — say --trace-scale on `uniform`, or
+/// apply to the chosen workload — say --force on `uniform`, or
 /// --injection-rate on `jacobi` — is a hard validation error, not a
 /// silently ignored no-op.  Values are typed: a non-numeric value,
 /// trailing garbage, an out-of-range number or an unknown enum spelling
@@ -26,7 +26,7 @@
 ///   run_workload bitrev --network=xy --record=xy.mdtr
 ///   run_workload jacobi --size=30 --record=jacobi.mdtr
 ///   run_workload jacobi-sm --cores=8 --cache-kb=16 --arbiter=mux --verify
-///   run_workload replay --trace=jacobi.mdtr --trace-scale=2.0
+///   run_workload replay --trace=jacobi.mdtr
 ///
 /// Exit code 0 on success (and verification pass), 1 otherwise.
 
@@ -221,10 +221,6 @@ const std::vector<Flag>& flag_table() {
       // --- replay (ReplayParams) ---
       {"replay", "--trace", "", "FILE", "input trace to replay",
        [](Cli& c, const char* v) { c.replay().trace_path = v; }},
-      {"replay", "--trace-scale", "", "F", "rate-scale the trace first",
-       [](Cli& c, const char* v) {
-         c.replay().trace_scale = parse_num<double>(v, 0.0);
-       }},
       {"replay", "--force", "", "",
        "allow a RouterConfig differing from the trace header",
        [](Cli& c, const char*) { c.replay().force_config = true; }},

@@ -16,8 +16,7 @@
 /// r sends its chunk for rank (r+s) mod P and receives the chunk from
 /// rank (r-s) mod P, so each step is a node-disjoint permutation and
 /// the NoC sees P simultaneous long-haul streams — deliberately
-/// asymmetric, bursty traffic (unlike jacobi's nearest-neighbour halos)
-/// that gives the trace toolkit's transforms something real to chew on.
+/// asymmetric, bursty traffic, unlike jacobi's nearest-neighbour halos.
 ///
 /// Payload words are a deterministic function of (src, dst, index), so
 /// every receiver verifies every word exactly; a round ends with an

@@ -3,9 +3,7 @@
 /// trace replay — everything behind the one registry the sweeps, the
 /// benches and the CLI share.
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -20,7 +18,6 @@
 #include "workload/measure.h"
 #include "workload/replay.h"
 #include "workload/workload.h"
-#include "workload/xform/transform.h"
 
 namespace medea::workload {
 namespace {
@@ -313,7 +310,7 @@ class ReplayWorkload final : public Workload {
   std::string name() const override { return "replay"; }
   std::string description() const override {
     return "re-inject a recorded flit trace into a bare NoC (fast-forward "
-           "mode; requires replay.trace_path, honors replay.trace_scale)";
+           "mode; requires replay.trace_path)";
   }
   WorkloadKind kind() const override { return WorkloadKind::kReplay; }
 
@@ -331,20 +328,17 @@ class ReplayWorkload final : public Workload {
 
   RunResult run(const RunRequest& req, RunContext& ctx) const override {
     const ReplayParams rp = section_or_default(req.replay);
-    const std::shared_ptr<const Trace> trace_ptr =
-        load_cached(require_path(req), rp.trace_scale);
-    const Trace& trace = *trace_ptr;
+    const Trace trace = load_trace(require_path(req));
 
     // Seed the NoC from the trace header, not the replay params: with
     // random_tie_break routers the recorded deflection choices depend on
     // the recorded seed, and bit-identical replay depends on matching it.
     // The header says which fabric recorded the trace; rebuild exactly
     // that one.  Deflection replays run on the machine's RouterConfig
-    // (for v2 traces the replayer refuses a config that differs from
-    // the recording unless rp.force_config makes it explicit) and shard
-    // like synthetic traffic; the XY fabric runs on one shard.
-    const bool xy = trace.meta.version >= 2 &&
-                    trace.meta.net.kind == TraceNetKind::kBufferedXy;
+    // (the replayer refuses a config that differs from the recording
+    // unless rp.force_config makes it explicit) and shard like synthetic
+    // traffic; the XY fabric runs on one shard.
+    const bool xy = trace.meta.net.kind == TraceNetKind::kBufferedXy;
     const noc::TorusGeometry geom(trace.meta.width, trace.meta.height);
     sim::SimDomain dom(req.machine.scheduler, xy ? 1 : geom.height());
     std::unique_ptr<noc::Fabric> net;
@@ -382,38 +376,6 @@ class ReplayWorkload final : public Workload {
     }
     return req.replay->trace_path;
   }
-
-  /// Traces are immutable once recorded, and a DSE sweep replays the
-  /// same file — at the same handful of rate scales — at every design
-  /// point from many threads.  Cache parsed (and scaled) traces by
-  /// (path, scale) so a 168-cell sweep decodes the file once and runs
-  /// each RateScale pass once, not once per cell.
-  std::shared_ptr<const Trace> load_cached(const std::string& path,
-                                           double scale) const {
-    const CacheKey key{path, scale};
-    {
-      const std::lock_guard<std::mutex> lock(cache_mutex_);
-      const auto it = cache_.find(key);
-      if (it != cache_.end()) return it->second;
-    }
-    std::shared_ptr<const Trace> fresh;
-    if (scale == 1.0) {
-      fresh = std::make_shared<const Trace>(load_trace(path));
-    } else {
-      const auto base = load_cached(path, 1.0);
-      fresh = std::make_shared<const Trace>(
-          xform::RateScale(scale).apply(*base));
-    }
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    // A sweep touches a few (path, scale) combos; a pathological caller
-    // cycling through many files should not accumulate them forever.
-    if (cache_.size() >= 16) cache_.clear();
-    return cache_.emplace(key, std::move(fresh)).first->second;
-  }
-
-  using CacheKey = std::pair<std::string, double>;
-  mutable std::mutex cache_mutex_;
-  mutable std::map<CacheKey, std::shared_ptr<const Trace>> cache_;
 };
 
 }  // namespace

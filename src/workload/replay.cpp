@@ -21,8 +21,8 @@ TraceNetConfig offered_config(const noc::Fabric& net) {
 }
 
 /// Throw unless the recording fabric in `meta` matches the replay
-/// network (geometry always; kind and configuration for v2 traces
-/// unless `allow_mismatch`).
+/// network (geometry always; kind and configuration unless
+/// `allow_mismatch`).
 void check_replay_net(const TraceMeta& meta, const noc::Fabric& net,
                       bool allow_mismatch) {
   if (net.geometry().width() != meta.width ||
@@ -30,9 +30,10 @@ void check_replay_net(const TraceMeta& meta, const noc::Fabric& net,
     throw std::runtime_error(
         "trace replay: network geometry does not match the trace (" +
         std::to_string(meta.width) + "x" + std::to_string(meta.height) +
-        " recorded); use the remap transform to retarget the trace");
+        " recorded, " + std::to_string(net.geometry().width()) + "x" +
+        std::to_string(net.geometry().height()) + " offered)");
   }
-  if (meta.version < 2 || allow_mismatch) return;
+  if (allow_mismatch) return;
   const TraceNetConfig offered = offered_config(net);
   if (meta.net != offered) {
     throw std::runtime_error(
@@ -72,9 +73,8 @@ class TraceReplayer::Injector final : public sim::Component {
       if (!q_.can_push()) {
         // Should not happen when replaying onto the recorded fabric (the
         // recorded run injected on schedule, so the queue drains on
-        // schedule), but transformed traces (rate-compressed, merged) can
-        // legitimately oversubscribe a queue; retry deterministically
-        // rather than dropping.
+        // schedule), but a --force replay onto a shallower inject queue
+        // can fill it; retry deterministically rather than dropping.
         wake();
         return;
       }

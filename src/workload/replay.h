@@ -23,12 +23,12 @@
 /// deflection NoC (noc::Network) and the buffered-XY baseline
 /// (noc::XyNetwork) both replay through the same machinery.
 ///
-/// v2 traces carry the recording fabric's configuration; constructing a
+/// Traces carry the recording fabric's configuration; constructing a
 /// replayer over a network whose kind or RouterConfig differs throws
 /// unless `allow_config_mismatch` is set — replaying onto a different
 /// NoC configuration is a legitimate what-if study, but it must be
 /// explicit, never an accident (the delivered timing will differ from
-/// the recording).  v1 traces recorded no config and skip the check.
+/// the recording).
 ///
 /// Mechanics: each recorded event (cycle T, src) is pushed into node
 /// src's inject FIFO at cycle T-1 so it becomes visible — and, because
@@ -51,9 +51,8 @@ struct ReplayResult {
 /// Re-injects a trace into `net` through per-node injectors and sinks,
 /// each built on its node's shard.  Copies the trace's events; the Trace itself need not
 /// outlive the replayer.  Throws std::runtime_error unless the network
-/// geometry matches trace.meta, and — for v2 traces, unless
-/// `allow_config_mismatch` — unless the fabric kind and configuration
-/// match the recording.
+/// geometry matches trace.meta, and — unless `allow_config_mismatch` —
+/// unless the fabric kind and configuration match the recording.
 class TraceReplayer {
  public:
   TraceReplayer(noc::Fabric& net, const Trace& trace,
@@ -76,7 +75,7 @@ class TraceReplayer {
 };
 
 /// Replay `trace` on `net`, running `dom` to completion and refreshing
-/// the fabric's stats.  Throws if the geometry or (v2) fabric config
+/// the fabric's stats.  Throws if the geometry or fabric config
 /// mismatches, or the cycle limit is hit.
 ReplayResult run_replay(sim::SimDomain& dom, noc::Fabric& net,
                         const Trace& trace, sim::Cycle limit = 50'000'000,

@@ -15,10 +15,10 @@
 /// scalar summary benches feed into their metrics maps.
 ///
 /// The JSON schema ("medea-timeline-v1") is what scripts/check_telemetry.py
-/// validates in CI and what bench_trend.py picks `timeline_*` metrics out
-/// of.  Per-router `*.router.<id>.delivered` series are folded into
-/// spatial heatmap frames (one WxH grid of per-window deltas per frame)
-/// instead of being emitted as N independent series.
+/// validates in CI; bench_saturation reports the `timeline_*` roll-up of
+/// timeline_summary().  Per-router `*.router.<id>.delivered` series are
+/// folded into spatial heatmap frames (one WxH grid of per-window deltas
+/// per frame) instead of being emitted as N independent series.
 
 namespace medea::workload {
 
@@ -68,7 +68,7 @@ std::string format_chrome_trace(const telemetry::Timeline& tl,
                                 int flow_packets);
 
 /// Scalar roll-up for bench JSONs — every key starts with "timeline_"
-/// (bench_trend.py trends them by that prefix): window count, peak and
+/// (bench_saturation reports them as case metrics): window count, peak and
 /// mean delivered flits/cycle, peak windowed deflection rate, peak event
 /// queue depth, and the overall commit-dedup rate.
 std::map<std::string, double> timeline_summary(const telemetry::Timeline& tl);

@@ -158,16 +158,7 @@ std::vector<std::uint8_t> serialize_trace(const Trace& t) {
   // Byte-wise append: gcc-12 -O3 misfires stringop-overflow on
   // vector::insert from a constexpr char[4].
   for (char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  // Write the version the meta carries: a v1-parsed trace stays v1 on
-  // re-save.  Its fabric config was never recorded, and upgrading would
-  // stamp fabricated defaults that replay would then *enforce* — the
-  // exact accident the v2 config check exists to prevent.  Only a fresh
-  // recording (TraceRecorder stamps kTraceVersion) produces v2.
-  if (t.meta.version < kTraceVersionV1 || t.meta.version > kTraceVersion) {
-    throw std::runtime_error("trace: cannot serialize unknown version " +
-                             std::to_string(t.meta.version));
-  }
-  out.push_back(t.meta.version);
+  out.push_back(kTraceVersion);
   put_varint(out, static_cast<std::uint64_t>(t.meta.width));
   put_varint(out, static_cast<std::uint64_t>(t.meta.height));
   put_varint(out, static_cast<std::uint64_t>(t.meta.coord_bits));
@@ -175,17 +166,15 @@ std::vector<std::uint8_t> serialize_trace(const Trace& t) {
   put_varint(out, t.meta.total_cycles);
   put_varint(out, t.meta.workload.size());
   out.insert(out.end(), t.meta.workload.begin(), t.meta.workload.end());
-  if (t.meta.version >= 2) {
-    const TraceNetConfig& n = t.meta.net;
-    put_varint(out, static_cast<std::uint64_t>(n.kind));
-    put_varint(out, static_cast<std::uint64_t>(n.eject_per_cycle));
-    put_varint(out, static_cast<std::uint64_t>(n.inject_queue_depth));
-    put_varint(out, static_cast<std::uint64_t>(n.eject_queue_depth));
-    put_varint(out, static_cast<std::uint64_t>(n.input_buffer_depth));
-    put_varint(out, (n.random_tie_break ? kFlagRandomTieBreak : 0) |
-                        (n.torus_wrap ? kFlagTorusWrap : 0));
-    put_varint(out, 0);  // extension length (reserved)
-  }
+  const TraceNetConfig& n = t.meta.net;
+  put_varint(out, static_cast<std::uint64_t>(n.kind));
+  put_varint(out, static_cast<std::uint64_t>(n.eject_per_cycle));
+  put_varint(out, static_cast<std::uint64_t>(n.inject_queue_depth));
+  put_varint(out, static_cast<std::uint64_t>(n.eject_queue_depth));
+  put_varint(out, static_cast<std::uint64_t>(n.input_buffer_depth));
+  put_varint(out, (n.random_tie_break ? kFlagRandomTieBreak : 0) |
+                      (n.torus_wrap ? kFlagTorusWrap : 0));
+  put_varint(out, 0);  // extension length (reserved)
   put_varint(out, t.events.size());
   sim::Cycle prev = 0;
   for (const TraceEvent& e : t.events) {
@@ -205,7 +194,7 @@ std::vector<std::uint8_t> serialize_trace(const Trace& t) {
 
 namespace {
 
-/// Parse and validate the header (magic, version, meta fields, the v2
+/// Parse and validate the header (magic, version, meta fields, the
 /// fabric block), leaving the reader positioned at the event count.
 TraceMeta parse_meta(Reader& r) {
   if (r.size < 5 || std::memcmp(r.data, kMagic, 4) != 0) {
@@ -213,14 +202,17 @@ TraceMeta parse_meta(Reader& r) {
   }
   r.pos = 4;
   const std::uint8_t version = r.data[r.pos++];
-  if (version < kTraceVersionV1 || version > kTraceVersion) {
+  if (version == 1) {
+    throw std::runtime_error(
+        "trace: MDTR v1 (no recorded fabric) is no longer read; re-record "
+        "the run");
+  }
+  if (version != kTraceVersion) {
     throw std::runtime_error(
         "trace: unsupported version " + std::to_string(version) +
-        " (this build reads versions " + std::to_string(kTraceVersionV1) +
-        ".." + std::to_string(kTraceVersion) + ")");
+        " (this build reads version " + std::to_string(kTraceVersion) + ")");
   }
   TraceMeta m;
-  m.version = version;
   m.width = r.varint_as<int>("width");
   m.height = r.varint_as<int>("height");
   m.coord_bits = r.varint_as<int>("coord_bits");
@@ -239,36 +231,74 @@ TraceMeta parse_meta(Reader& r) {
   }
   m.workload.assign(reinterpret_cast<const char*>(r.data + r.pos), name_len);
   r.pos += name_len;
-  if (version >= 2) {
-    const std::uint64_t kind = r.varint();
-    if (kind > static_cast<std::uint64_t>(TraceNetKind::kBufferedXy)) {
-      throw std::runtime_error("trace: unknown network kind " +
-                               std::to_string(kind));
-    }
-    m.net.kind = static_cast<TraceNetKind>(kind);
-    m.net.eject_per_cycle = r.varint_as<int>("eject_per_cycle");
-    m.net.inject_queue_depth = r.varint_as<int>("inject_queue_depth");
-    m.net.eject_queue_depth = r.varint_as<int>("eject_queue_depth");
-    m.net.input_buffer_depth = r.varint_as<int>("input_buffer_depth");
-    if (m.net.eject_per_cycle < 1 || m.net.inject_queue_depth < 1 ||
-        m.net.eject_queue_depth < 1 || m.net.input_buffer_depth < 1) {
-      throw std::runtime_error("trace: invalid fabric config (queue depth "
-                               "or bandwidth below 1)");
-    }
-    const std::uint64_t flags = r.varint();
-    if ((flags & ~kFlagsKnownMask) != 0) {
-      throw std::runtime_error("trace: unknown fabric flags 0x" +
-                               std::to_string(flags));
-    }
-    m.net.random_tie_break = (flags & kFlagRandomTieBreak) != 0;
-    m.net.torus_wrap = (flags & kFlagTorusWrap) != 0;
-    const std::uint64_t ext_len = r.varint();
-    if (ext_len > r.size - r.pos) {
-      throw std::runtime_error("trace: truncated header extension");
-    }
-    r.pos += ext_len;  // reserved for forward-compatible additions
+  const std::uint64_t kind = r.varint();
+  if (kind > static_cast<std::uint64_t>(TraceNetKind::kBufferedXy)) {
+    throw std::runtime_error("trace: unknown network kind " +
+                             std::to_string(kind));
   }
+  m.net.kind = static_cast<TraceNetKind>(kind);
+  m.net.eject_per_cycle = r.varint_as<int>("eject_per_cycle");
+  m.net.inject_queue_depth = r.varint_as<int>("inject_queue_depth");
+  m.net.eject_queue_depth = r.varint_as<int>("eject_queue_depth");
+  m.net.input_buffer_depth = r.varint_as<int>("input_buffer_depth");
+  if (m.net.eject_per_cycle < 1 || m.net.inject_queue_depth < 1 ||
+      m.net.eject_queue_depth < 1 || m.net.input_buffer_depth < 1) {
+    throw std::runtime_error("trace: invalid fabric config (queue depth "
+                             "or bandwidth below 1)");
+  }
+  const std::uint64_t flags = r.varint();
+  if ((flags & ~kFlagsKnownMask) != 0) {
+    throw std::runtime_error("trace: unknown fabric flags 0x" +
+                             std::to_string(flags));
+  }
+  m.net.random_tie_break = (flags & kFlagRandomTieBreak) != 0;
+  m.net.torus_wrap = (flags & kFlagTorusWrap) != 0;
+  const std::uint64_t ext_len = r.varint();
+  if (ext_len > r.size - r.pos) {
+    throw std::runtime_error("trace: truncated header extension");
+  }
+  r.pos += ext_len;  // reserved for forward-compatible additions
   return m;
+}
+
+/// "<who><what> (event <i>: <event>)".
+std::runtime_error event_error(const char* who, const char* what,
+                               std::size_t i, const TraceEvent& e) {
+  std::string msg = who;
+  msg += what;
+  msg += " (event ";
+  msg += std::to_string(i);
+  msg += ": ";
+  msg += to_string(e);
+  msg += ')';
+  return std::runtime_error(msg);
+}
+
+/// The checks every event passes, on load and in validate_trace(): node
+/// ids inside the torus, a packet size the wire format carries, and a
+/// wire word that agrees with the event's endpoints (its dst coordinate
+/// re-linearizes to e.dst, and its 8-bit SRCID field matches the low
+/// byte of e.src).  Replay injects the decoded word, so a payload that
+/// disagrees misroutes the flit, and one whose dst is off the torus is
+/// never delivered: the replay would run to its cycle limit.  `who`
+/// prefixes the error.
+void check_event(const TraceMeta& m, std::size_t i, const TraceEvent& e,
+                 const char* who) {
+  const char* what = nullptr;
+  const noc::Flit f = noc::decode_flit(e.payload, m.coord_bits);
+  if (e.src >= m.width * m.height || e.dst >= m.width * m.height) {
+    what = "node id outside the torus";
+  } else if (e.size < 1 || e.size > noc::kMaxPacketFlits) {
+    what = "packet size out of range";
+  } else if (f.dst.x >= m.width || f.dst.y >= m.height ||
+             f.dst.y * m.width + f.dst.x != e.dst) {
+    what = "payload dst disagrees with event dst";
+  } else if (f.src_id != static_cast<std::uint8_t>(e.src & 0xFF)) {
+    what = "payload src id disagrees with event src";
+  } else {
+    return;
+  }
+  throw event_error(who, what, i, e);
 }
 
 }  // namespace
@@ -279,7 +309,6 @@ Trace parse_trace(const std::uint8_t* data, std::size_t size) {
   t.meta = parse_meta(r);
 
   const std::uint64_t count = r.varint();
-  const int num_nodes = t.meta.width * t.meta.height;
   // Each event is at least 6 bytes; a count larger than the remaining
   // bytes allow is corrupt (and would otherwise trigger a huge reserve).
   if (count > (r.size - r.pos)) {
@@ -296,9 +325,7 @@ Trace parse_trace(const std::uint8_t* data, std::size_t size) {
     e.size = r.varint_as<std::uint16_t>("size");
     e.uid = r.varint_as<std::uint32_t>("uid");
     e.payload = r.varint();
-    if (e.src >= num_nodes || e.dst >= num_nodes) {
-      throw std::runtime_error("trace: node id outside the recorded torus");
-    }
+    check_event(t.meta, i, e, "trace: ");
     t.events.push_back(e);
   }
   if (r.pos != r.size) {
@@ -361,7 +388,6 @@ void validate_trace(const Trace& t) {
   if (m.width < 1 || m.height < 1) {
     throw std::runtime_error("trace validation: invalid geometry");
   }
-  const int num_nodes = m.width * m.height;
   if (m.coord_bits < coord_bits_for(m.width, m.height) || m.coord_bits > 8) {
     throw std::runtime_error("trace validation: coord_bits too narrow for "
                              "the geometry");
@@ -373,33 +399,11 @@ void validate_trace(const Trace& t) {
   sim::Cycle prev = 0;
   for (std::size_t i = 0; i < t.events.size(); ++i) {
     const TraceEvent& e = t.events[i];
-    const std::string at = " (event " + std::to_string(i) + ": " +
-                           to_string(e) + ")";
     if (e.cycle < prev) {
-      throw std::runtime_error("trace validation: events not sorted" + at);
+      throw event_error("trace validation: ", "events not sorted", i, e);
     }
     prev = e.cycle;
-    if (e.src >= num_nodes || e.dst >= num_nodes) {
-      throw std::runtime_error("trace validation: node id outside the torus" +
-                               at);
-    }
-    if (e.size < 1 || e.size > noc::kMaxPacketFlits) {
-      throw std::runtime_error("trace validation: packet size out of range" +
-                               at);
-    }
-    // The wire word must agree with the event's endpoints: its dst
-    // coordinate re-linearizes to e.dst, and (for fabrics small enough
-    // for the 8-bit SRCID field) its src id matches e.src.
-    const noc::Flit f = noc::decode_flit(e.payload, m.coord_bits);
-    if (f.dst.x >= m.width || f.dst.y >= m.height ||
-        f.dst.y * m.width + f.dst.x != e.dst) {
-      throw std::runtime_error(
-          "trace validation: payload dst disagrees with event dst" + at);
-    }
-    if (f.src_id != static_cast<std::uint8_t>(e.src & 0xFF)) {
-      throw std::runtime_error(
-          "trace validation: payload src id disagrees with event src" + at);
-    }
+    check_event(m, i, e, "trace validation: ");
   }
   // On-disk round-trip: what we would write must parse back losslessly.
   const auto bytes = serialize_trace(t);

@@ -26,10 +26,10 @@
 /// On-disk format, little-endian:
 ///
 ///   "MDTR"  magic (4 bytes)
-///   u8      version (1 or 2)
+///   u8      version (2)
 ///   varint  width, height, coord_bits, seed, total_cycles
 ///   varint  workload-name length, then that many bytes
-///   --- version >= 2 only: the recording fabric, self-described ---
+///   --- the recording fabric, self-described ---
 ///   varint  network kind (0 = deflection, 1 = buffered XY)
 ///   varint  eject_per_cycle, inject_queue_depth, eject_queue_depth,
 ///           input_buffer_depth
@@ -44,21 +44,17 @@
 ///
 /// All integers are LEB128 varints, which makes typical traces ~6-10
 /// bytes per event instead of the 24+ of a naive fixed layout.  parse()
-/// validates magic, version, geometry, fabric config and bounds and
-/// throws std::runtime_error on anything malformed or truncated.
+/// validates magic, version, geometry, fabric config, node bounds, packet
+/// sizes and each event's wire payload, and throws std::runtime_error on
+/// anything malformed or truncated.
 ///
-/// Version 1 traces (no fabric block) still parse: the meta comes back
-/// with `version == 1` and a default-constructed net config, and replay
-/// skips the config check for them (nothing was recorded to check).
-/// serialize_trace() writes the version the meta carries — a v1 trace
-/// stays v1 on re-save (its fabric was never recorded; stamping
-/// defaults would fabricate a config that replay would then enforce).
-/// Fresh recordings are always v2.
+/// Version 1 traces (written by older builds, with no fabric block) are
+/// rejected with an error that names them: their fabric was never
+/// recorded, so replay could not check it.  Re-record the run.
 
 namespace medea::workload {
 
 inline constexpr std::uint8_t kTraceVersion = 2;
-inline constexpr std::uint8_t kTraceVersionV1 = 1;
 
 /// Which router model recorded the trace (and which one replay must
 /// rebuild to reproduce it).
@@ -69,7 +65,7 @@ enum class TraceNetKind : std::uint8_t {
 
 const char* to_string(TraceNetKind k);
 
-/// The recording fabric's configuration, persisted in the v2 header so a
+/// The recording fabric's configuration, persisted in the header so a
 /// trace is self-describing: replay can rebuild the exact NoC, and
 /// replaying onto a *different* configuration becomes an explicit,
 /// opt-in act instead of a silent accident.
@@ -118,11 +114,7 @@ struct TraceMeta {
   std::uint64_t seed = 0;            ///< seed of the recorded run
   sim::Cycle total_cycles = 0;       ///< cycle count of the recorded run
   std::string workload;              ///< registry name of the recorded workload
-  /// Format version this meta was parsed from (kTraceVersion for traces
-  /// built in memory).  v1 metas carry a default `net` with no recorded
-  /// meaning; consumers must gate config checks on `version >= 2`.
-  std::uint8_t version = kTraceVersion;
-  TraceNetConfig net{};              ///< the recording fabric (v2+)
+  TraceNetConfig net{};              ///< the recording fabric
 
   bool operator==(const TraceMeta&) const = default;
 };
@@ -150,11 +142,11 @@ Trace load_trace(const std::string& path);
 /// for a trace before (or without) paying the full parse.
 TraceMeta load_trace_meta(const std::string& path);
 
-/// Full semantic validation beyond what parse_trace() enforces
-/// structurally: cycle ordering, node bounds, packet sizes, payload
-/// consistency (the wire word must decode back to the event's src/dst)
-/// and a serialize/parse round-trip.  Every trace-transform output must
-/// pass this; throws std::runtime_error with a specific message.
+/// Validation of a trace built in memory: the header checks and the
+/// per-event checks parse_trace() applies on load (node bounds, packet
+/// sizes, and a wire word that decodes back to the event's src/dst),
+/// cycle ordering, and a serialize/parse round-trip.  Throws
+/// std::runtime_error naming the first offending event.
 void validate_trace(const Trace& t);
 
 /// Captures injection events from a live NoC (attach with
@@ -168,7 +160,7 @@ class TraceRecorder final : public noc::FlitObserver {
 
   const std::vector<TraceEvent>& events() const { return events_; }
 
-  /// Describe the fabric being recorded; stamped into the v2 header by
+  /// Describe the fabric being recorded; stamped into the header by
   /// take().  Defaults to a default-configured deflection NoC.
   void set_net_config(const TraceNetConfig& net) { net_ = net; }
 

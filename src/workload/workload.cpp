@@ -87,7 +87,7 @@ void validate_request(const RunRequest& req, const Workload& w) {
     misapplied("app", "size/iterations/warmup_iterations");
   }
   if (req.replay.has_value() && k != WorkloadKind::kReplay) {
-    misapplied("replay", "trace_path/trace_scale/force_config");
+    misapplied("replay", "trace_path/force_config");
   }
   if (k == WorkloadKind::kReplay &&
       (!req.replay.has_value() || req.replay->trace_path.empty())) {

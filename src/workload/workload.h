@@ -96,10 +96,7 @@ struct AppParams {
 /// Knobs for trace replay (WorkloadKind::kReplay).
 struct ReplayParams {
   std::string trace_path;  ///< recorded trace to re-inject (required)
-  /// Injection-rate scale applied to the trace before replaying
-  /// (1.0 = verbatim; see xform::RateScale).
-  double trace_scale = 1.0;
-  /// Replay a v2 trace even when the machine's RouterConfig does not
+  /// Replay the trace even when the machine's RouterConfig does not
   /// match the recorded fabric (the CLI --force flag).  Without it a
   /// mismatch fails loudly — replaying onto a different NoC
   /// configuration must be explicit, never an accident.

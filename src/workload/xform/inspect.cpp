@@ -79,7 +79,7 @@ std::string format_inspection(const Trace& t, const TraceInspection& insp) {
   std::string out;
   const TraceMeta& m = t.meta;
   appendf(out, "trace: %s\n", m.workload.c_str());
-  appendf(out, "  format     MDTR v%d\n", m.version);
+  appendf(out, "  format     MDTR v%d\n", kTraceVersion);
   appendf(out, "  fabric     %dx%d torus, %s\n", m.width, m.height,
           m.net.describe().c_str());
   appendf(out, "  seed       %llu\n",
@@ -186,7 +186,7 @@ std::string format_inspection_json(const Trace& t,
   std::string out = "{\n  \"schema_version\": 1,\n  \"trace\": {\n";
   out += "    \"workload\": ";
   append_json_string(out, m.workload);
-  appendf(out, ",\n    \"format_version\": %d,\n", m.version);
+  appendf(out, ",\n    \"format_version\": %d,\n", kTraceVersion);
   appendf(out, "    \"width\": %d,\n    \"height\": %d,\n", m.width, m.height);
   appendf(out, "    \"coord_bits\": %d,\n", m.coord_bits);
   appendf(out, "    \"seed\": %llu,\n",
@@ -257,7 +257,6 @@ TraceDiffResult diff_traces(const Trace& a, const Trace& b) {
   field("total_cycles", std::to_string(ma.total_cycles),
         std::to_string(mb.total_cycles));
   field("workload", ma.workload, mb.workload);
-  field("version", std::to_string(ma.version), std::to_string(mb.version));
   field("net", ma.net.describe(), mb.net.describe());
   r.meta_equal = meta_diff.empty();
 

@@ -18,10 +18,10 @@
 /// the CLI.
 ///
 /// diff_traces() is the fidelity oracle: it reports the first
-/// divergence between two traces, field by field — which is how CI can
-/// assert that record -> save -> load -> re-record round-trips are
-/// bit-identical, and how a user finds out *where* a transformed or
-/// re-recorded trace starts to differ from its source.
+/// divergence between two traces, field by field — which is how a test
+/// asserts that record -> save -> load round-trips are bit-identical,
+/// and how a user finds out *where* a re-recorded trace starts to
+/// differ from its source.
 
 namespace medea::workload::xform {
 

@@ -210,10 +210,13 @@ TEST(Json, EmptyReportStillValid) {
 
 TEST(Report, ParsesHarnessFlags) {
   const char* argv_c[] = {"bench_x", "--reps=9", "--warmup=3",
-                          "--json-dir=/tmp"};
-  Report report("flags", 4, const_cast<char**>(argv_c));
+                          "--json-dir=/tmp", "--shards=2"};
+  int shards = -1;  // a flag this bench declares
+  Report report("flags", 5, const_cast<char**>(argv_c), {},
+                {{"--shards", 1, &shards}});
   EXPECT_EQ(report.options().repetitions, 9);
   EXPECT_EQ(report.options().warmup, 3);
+  EXPECT_EQ(shards, 2);
 }
 
 }  // namespace

@@ -258,20 +258,20 @@ TEST(MemoryMapEdge, PrivateAddrRangeChecked) {
 // Run-request footguns: knobs that used to be silently ignored
 // ---------------------------------------------------------------------
 
-TEST(RunRequestFootguns, TraceScaleOnSyntheticWorkloadIsAnError) {
-  // Pre-redesign, --trace-scale on a synthetic pattern was a silent
+TEST(RunRequestFootguns, ForceConfigOnSyntheticWorkloadIsAnError) {
+  // Pre-redesign, a replay knob on a synthetic pattern was a silent
   // no-op.  Engaging the replay section on `uniform` must now throw an
   // error that names the misapplied knob.
   workload::RunRequest req;
   req.replay = workload::ReplayParams{};
-  req.replay->trace_scale = 2.0;
+  req.replay->force_config = true;
   try {
     workload::run_by_name("uniform", req);
     FAIL() << "replay section on a synthetic workload must throw";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("uniform"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("trace_scale"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("force_config"), std::string::npos) << msg;
   }
 }
 

@@ -341,7 +341,6 @@ workload::Trace boundary_trace() {
   t.meta.height = 4;
   t.meta.coord_bits = workload::coord_bits_for(4, 4);
   t.meta.seed = 1;
-  t.meta.version = 1;  // v1: geometry check only, no fabric config
   const noc::TorusGeometry geom(4, 4);
   std::uint32_t uid = 1;
   const auto add = [&](sim::Cycle c, int src, int dst) {

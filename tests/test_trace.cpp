@@ -30,7 +30,15 @@ Trace sample_trace() {
     e.dst = static_cast<std::uint16_t>((i * 7) % 16);
     e.size = static_cast<std::uint16_t>(1 + i % 4);
     e.uid = static_cast<std::uint32_t>(1000000 + i);
-    e.payload = 0x123456789ABCDEFull ^ static_cast<std::uint64_t>(i);
+    // The wire word carries the event's endpoints (parse_trace checks
+    // them) and a wide data field, so payload varints run to 8 bytes.
+    noc::Flit f;
+    f.valid = true;
+    f.dst = noc::Coord{static_cast<std::uint8_t>(e.dst % 4),
+                       static_cast<std::uint8_t>(e.dst / 4)};
+    f.src_id = static_cast<std::uint8_t>(e.src);
+    f.data = 0x89ABCDEFu ^ static_cast<std::uint32_t>(i);
+    e.payload = noc::encode_flit(f, 2);
     t.events.push_back(e);
   }
   return t;

@@ -1,14 +1,14 @@
 /// Tests for the trace toolkit: the self-describing MDTR v2 header
-/// (v1 compatibility, corrupt-header rejection, config-mismatch
-/// refusal), the transform pipeline (scale/remap/merge/window, all
-/// outputs fully validated and replayable), the inspect/diff analyzers,
-/// and record/replay parity for the buffered-XY baseline.
+/// (v1 rejection, corrupt-header and bad-payload rejection,
+/// config-mismatch refusal), registry replay of a re-recorded path, the
+/// inspect/diff analyzers, and record/replay parity for the buffered-XY
+/// baseline.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
+#include <cstdio>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -20,7 +20,6 @@
 #include "workload/trace.h"
 #include "workload/workload.h"
 #include "workload/xform/inspect.h"
-#include "workload/xform/transform.h"
 
 namespace medea::workload {
 namespace {
@@ -43,7 +42,7 @@ RunRequest replay_req(const std::string& path) {
   return req;
 }
 
-/// Record a small 4x4 jacobi trace (the acceptance scenario's source).
+/// Record a small 4x4 jacobi trace.
 Trace record_jacobi() {
   RunRequest req;
   req.machine.num_compute_cores = 4;
@@ -51,25 +50,6 @@ Trace record_jacobi() {
   ap.size = 8;
   req.app = ap;
   return record_workload("jacobi", req);
-}
-
-/// Replay `t` on the fabric its header describes and require a clean
-/// replay: every event injected and delivered.
-ReplayResult replay_cleanly(const Trace& t) {
-  sim::SimDomain dom(sim::SchedulerConfig{});
-  ReplayResult r;
-  if (t.meta.net.kind == TraceNetKind::kBufferedXy) {
-    noc::XyNetwork net(dom, noc::TorusGeometry(t.meta.width, t.meta.height),
-                       t.meta.net.xy_router_config(), t.meta.net.torus_wrap);
-    r = run_replay(dom, net, t);
-  } else {
-    noc::Network net(dom, noc::TorusGeometry(t.meta.width, t.meta.height),
-                     t.meta.net.router_config(), t.meta.seed);
-    r = run_replay(dom, net, t);
-  }
-  EXPECT_EQ(r.flits_injected, t.events.size());
-  EXPECT_EQ(r.flits_delivered, t.events.size());
-  return r;
 }
 
 // ---------------------------------------------------------------------
@@ -81,16 +61,17 @@ TEST(TraceV2, RecordingsCarryTheFabricConfig) {
   req.machine.router.eject_per_cycle = 2;
   req.machine.router.random_tie_break = true;
   const Trace t = record_workload("uniform", req);
-  EXPECT_EQ(t.meta.version, kTraceVersion);
   EXPECT_EQ(t.meta.net.kind, TraceNetKind::kDeflection);
   EXPECT_EQ(t.meta.net.eject_per_cycle, 2);
   EXPECT_TRUE(t.meta.net.random_tie_break);
 
   // The config survives the disk round-trip.
   const auto bytes = serialize_trace(t);
+  EXPECT_EQ(bytes[4], kTraceVersion);
   const Trace u = parse_trace(bytes.data(), bytes.size());
   EXPECT_EQ(u.meta.net, t.meta.net);
   EXPECT_EQ(u, t);
+  validate_trace(t);
 }
 
 TEST(TraceV2, NetConfigProjectionsRoundTrip) {
@@ -110,9 +91,9 @@ TEST(TraceV2, NetConfigProjectionsRoundTrip) {
   EXPECT_EQ(n.kind, TraceNetKind::kBufferedXy);
 }
 
-/// Hand-rolled v1 blob (the PR-2 on-disk layout, no fabric block): the
-/// golden compatibility fixture v2 readers must keep accepting.
-std::vector<std::uint8_t> golden_v1_blob(std::vector<TraceEvent>* events_out) {
+/// Hand-rolled v1 blob (the first on-disk layout, no fabric block): the
+/// fixture readers must reject by name.
+std::vector<std::uint8_t> golden_v1_blob() {
   std::vector<std::uint8_t> b;
   const auto varint = [&b](std::uint64_t v) {
     while (v >= 0x80) {
@@ -160,45 +141,64 @@ std::vector<std::uint8_t> golden_v1_blob(std::vector<TraceEvent>* events_out) {
     varint(e.uid);
     varint(e.payload);
   }
-  if (events_out != nullptr) *events_out = events;
   return b;
 }
 
-TEST(TraceV2, GoldenV1BlobStillParses) {
-  std::vector<TraceEvent> expected;
-  const auto bytes = golden_v1_blob(&expected);
-  const Trace t = parse_trace(bytes.data(), bytes.size());
-  EXPECT_EQ(t.meta.version, 1);
-  EXPECT_EQ(t.meta.width, 4);
-  EXPECT_EQ(t.meta.height, 4);
-  EXPECT_EQ(t.meta.seed, 77u);
-  EXPECT_EQ(t.meta.total_cycles, 500u);
-  EXPECT_EQ(t.meta.workload, "uniform");
-  EXPECT_EQ(t.meta.net, TraceNetConfig{});  // defaults, nothing recorded
-  EXPECT_EQ(t.events, expected);
+TEST(TraceV2, GoldenV1BlobIsRejectedByName) {
+  const auto bytes = golden_v1_blob();
+  try {
+    (void)parse_trace(bytes.data(), bytes.size());
+    FAIL() << "a v1 trace must not parse";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("MDTR v1"), std::string::npos)
+        << e.what();
+  }
 
-  // Re-serializing preserves v1 byte-for-byte: no fabricated fabric
-  // config sneaks in (replay would otherwise enforce it).
-  EXPECT_EQ(serialize_trace(t), bytes);
-  validate_trace(t);
-
-  // Transform outputs of a v1 input stay v1 — still checkable, still
-  // config-free.
-  const Trace scaled = xform::RateScale(2.0).apply(t);
-  EXPECT_EQ(scaled.meta.version, 1);
-  validate_trace(scaled);
+  // The header-only load (which sizes replays) refuses it the same way.
+  const std::string path = testing::TempDir() + "/medea_golden_v1.mdtr";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+  try {
+    (void)load_trace_meta(path);
+    FAIL() << "a v1 header must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("MDTR v1"), std::string::npos)
+        << e.what();
+  }
 }
 
-TEST(TraceV2, V1TraceSkipsTheConfigCheck) {
-  const auto bytes = golden_v1_blob(nullptr);
-  const Trace t = parse_trace(bytes.data(), bytes.size());
-  // A config the recording knows nothing about: no refusal for v1.
-  noc::RouterConfig rc;
-  rc.eject_per_cycle = 2;
-  sim::SimDomain dom(sim::SchedulerConfig{});
-  noc::Network net(dom, noc::TorusGeometry(4, 4), rc, t.meta.seed);
-  const ReplayResult r = run_replay(dom, net, t);
-  EXPECT_EQ(r.flits_delivered, t.events.size());
+TEST(TraceV2, PayloadOffTheTorusIsRejectedByEvent) {
+  // A 3x3 torus event for node 4 whose wire word encodes (3,1), a node
+  // that does not exist: replay would inject it and run to its cycle
+  // limit, so loading it must fail and name the event.
+  Trace t;
+  t.meta.width = 3;
+  t.meta.height = 3;
+  t.meta.coord_bits = coord_bits_for(3, 3);
+  TraceEvent e;
+  e.cycle = 2;
+  e.dst = 4;
+  e.uid = 1;
+  noc::Flit f;
+  f.valid = true;
+  f.dst = noc::Coord{3, 1};
+  e.payload = noc::encode_flit(f, t.meta.coord_bits);
+  t.events.push_back(e);
+
+  const auto bytes = serialize_trace(t);
+  try {
+    (void)parse_trace(bytes.data(), bytes.size());
+    FAIL() << "a payload off the torus must not parse";
+  } catch (const std::runtime_error& err) {
+    const std::string msg = err.what();
+    EXPECT_NE(msg.find("payload dst disagrees with event dst"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("event 0: " + to_string(e)), std::string::npos) << msg;
+  }
+  EXPECT_THROW(validate_trace(t), std::runtime_error);
 }
 
 /// Serialize a minimal v2 trace whose header varints are all single
@@ -302,140 +302,25 @@ TEST(ReplayConfigCheck, RegistryReplayRefusesThenForces) {
   EXPECT_TRUE(r.verified_ok);
 }
 
-// ---------------------------------------------------------------------
-// Transforms
-// ---------------------------------------------------------------------
-
-TEST(Transforms, RateScaleStretchAndCompressReplayCleanly) {
-  const Trace t = record_jacobi();
-  ASSERT_FALSE(t.events.empty());
-  for (double factor : {0.5, 2.0}) {
-    const Trace s = xform::RateScale(factor).apply(t);
-    validate_trace(s);
-    EXPECT_EQ(s.events.size(), t.events.size());
-    EXPECT_NE(s.meta.workload.find("scale("), std::string::npos);
-    // Cycles scaled by 1/factor (within rounding), order preserved.
-    const double span_in = static_cast<double>(t.events.back().cycle);
-    const double span_out = static_cast<double>(s.events.back().cycle);
-    EXPECT_NEAR(span_out, span_in / factor, span_in * 0.01 + 4.0);
-    replay_cleanly(s);
-  }
-}
-
-TEST(Transforms, RateScaleRejectsNonPositiveFactor) {
-  EXPECT_THROW(xform::RateScale(0.0), std::invalid_argument);
-  EXPECT_THROW(xform::RateScale(-1.0), std::invalid_argument);
-}
-
-TEST(Transforms, BijectiveRemapOntoBiggerTorusReplaysCleanly) {
-  const Trace t = record_jacobi();
-  const Trace r = xform::RemapNodes(8, 8).apply(t);
-  validate_trace(r);
-  EXPECT_EQ(r.meta.width, 8);
-  EXPECT_EQ(r.meta.height, 8);
-  EXPECT_EQ(r.meta.coord_bits, 3);
-  EXPECT_EQ(r.events.size(), t.events.size());
-  // Coordinate-preserving: (x,y) keeps its coordinates, ids re-linearize.
-  for (std::size_t i = 0; i < t.events.size(); ++i) {
-    const int ox = t.events[i].src % 4, oy = t.events[i].src / 4;
-    EXPECT_EQ(r.events[i].src, oy * 8 + ox);
-    EXPECT_EQ(r.events[i].uid, t.events[i].uid);
-  }
-  replay_cleanly(r);
-}
-
-TEST(Transforms, BijectiveRemapRejectsShrinking) {
-  const Trace t = record_jacobi();
-  EXPECT_THROW(xform::RemapNodes(2, 2).apply(t), std::invalid_argument);
-}
-
-TEST(Transforms, TiledRemapClonesPerTileWithDisjointUids) {
-  const Trace t = record_workload("neighbor", tiny_synth());
-  ASSERT_FALSE(t.events.empty());
-  const Trace r =
-      xform::RemapNodes(8, 8, xform::RemapMode::kTiled).apply(t);
-  validate_trace(r);
-  EXPECT_EQ(r.events.size(), t.events.size() * 4);  // 2x2 tiles of 4x4
-  std::set<std::uint32_t> uids;
-  for (const TraceEvent& e : r.events) uids.insert(e.uid);
-  EXPECT_EQ(uids.size(), r.events.size()) << "uid re-spacing collided";
-  replay_cleanly(r);
-}
-
-TEST(Transforms, TiledRemapRejectsNonMultipleDims) {
-  const Trace t = record_jacobi();
-  EXPECT_THROW(xform::RemapNodes(6, 6, xform::RemapMode::kTiled).apply(t),
-               std::invalid_argument);
-}
-
-TEST(Transforms, RemapRejectsFabricsBeyondSrcIdWidth) {
-  EXPECT_THROW(xform::RemapNodes(32, 32), std::invalid_argument);
-}
-
-TEST(Transforms, MergeInterleavesAndRespacesUids) {
+TEST(RegistryReplay, ReRecordedPathReplaysTheNewRecording) {
+  // Recordings are overwritten in place; a replay must read the file as
+  // it is now, header and events alike.
+  const std::string path = testing::TempDir() + "/medea_rerecorded.mdtr";
   RunRequest req = tiny_synth();
-  const Trace a = record_workload("neighbor", req);
-  req.seed = 9;
-  const Trace b = record_workload("uniform", req);
-  const Trace m = xform::merge_traces(a, b);
-  validate_trace(m);
-  EXPECT_EQ(m.events.size(), a.events.size() + b.events.size());
-  EXPECT_EQ(m.meta.workload, "merge(neighbor+uniform)");
-  std::set<std::uint32_t> uids;
-  for (const TraceEvent& e : m.events) uids.insert(e.uid);
-  EXPECT_EQ(uids.size(), m.events.size()) << "uid re-spacing collided";
-  replay_cleanly(m);
-}
+  req.synthetic->flits_per_node = 10;
+  const Trace first = record_workload("uniform", req);
+  save_trace(first, path);
+  const RunResult a = run_by_name("replay", replay_req(path));
+  EXPECT_EQ(first.events.size(), 160u);
+  EXPECT_EQ(a.flits_delivered, first.events.size());
 
-TEST(Transforms, MergeRejectsMismatchedGeometryOrFabric) {
-  const RunRequest req = tiny_synth();
-  const Trace a = record_workload("neighbor", req);
-  RunRequest req8 = req;
-  req8.machine.noc_width = 8;
-  req8.machine.noc_height = 8;
-  const Trace b = record_workload("neighbor", req8);
-  EXPECT_THROW(xform::merge_traces(a, b), std::invalid_argument);
-
-  RunRequest reqc = req;
-  reqc.machine.router.eject_per_cycle = 2;
-  const Trace c = record_workload("neighbor", reqc);
-  EXPECT_THROW(xform::merge_traces(a, c), std::invalid_argument);
-}
-
-TEST(Transforms, TimeWindowCutsAndRebases) {
-  const Trace t = record_jacobi();
-  ASSERT_GT(t.events.size(), 10u);
-  const sim::Cycle mid = t.events[t.events.size() / 2].cycle;
-  const Trace w = xform::TimeWindow(mid, t.events.back().cycle + 1).apply(t);
-  validate_trace(w);
-  EXPECT_GT(w.events.size(), 0u);
-  EXPECT_LT(w.events.size(), t.events.size());
-  // Rebasing shifts the window down by (mid - 2): the first kept event
-  // lands at (its original cycle - mid + 2).
-  sim::Cycle first_kept = 0;
-  for (const TraceEvent& e : t.events) {
-    if (e.cycle >= mid) {
-      first_kept = e.cycle;
-      break;
-    }
-  }
-  ASSERT_GT(mid, 2u);
-  EXPECT_EQ(w.events.front().cycle, first_kept - mid + 2);
-  replay_cleanly(w);
-}
-
-TEST(Transforms, PipelineComposesPasses) {
-  const Trace t = record_jacobi();
-  xform::Pipeline pipe;
-  pipe.add(std::make_unique<xform::RateScale>(2.0))
-      .add(std::make_unique<xform::RemapNodes>(8, 8));
-  const Trace out = pipe.apply(t);
-  validate_trace(out);
-  EXPECT_EQ(out.meta.width, 8);
-  EXPECT_NE(out.meta.workload.find("scale(2x)"), std::string::npos);
-  EXPECT_NE(out.meta.workload.find("remap(8x8"), std::string::npos);
-  EXPECT_EQ(pipe.describe(), "scale(2x) | remap(8x8,bijective)");
-  replay_cleanly(out);
+  req.synthetic->flits_per_node = 40;
+  const Trace second = record_workload("uniform", req);
+  save_trace(second, path);
+  const RunResult b = run_by_name("replay", replay_req(path));
+  EXPECT_EQ(second.events.size(), 640u);
+  EXPECT_EQ(b.flits_delivered, second.events.size());
+  EXPECT_TRUE(b.verified_ok);
 }
 
 // ---------------------------------------------------------------------
@@ -553,12 +438,6 @@ TEST(Diff, ReportsMetaAndLengthDifferences) {
   EXPECT_NE(d.first_difference.find("event count"), std::string::npos);
 }
 
-TEST(Diff, TransformedTraceIsNotIdentical) {
-  const Trace t = record_jacobi();
-  const Trace s = xform::RateScale(2.0).apply(t);
-  EXPECT_FALSE(xform::diff_traces(t, s).identical);
-}
-
 // ---------------------------------------------------------------------
 // Buffered-XY record/replay parity
 // ---------------------------------------------------------------------
@@ -641,43 +520,6 @@ TEST(XyReplay, RegistryReplayRebuildsTheXyFabricFromTheHeader) {
   EXPECT_EQ(r.flits_delivered, t.events.size());
   EXPECT_TRUE(r.verified_ok);
   EXPECT_EQ(r.cycles, t.meta.total_cycles);
-}
-
-// ---------------------------------------------------------------------
-// The full acceptance scenario
-// ---------------------------------------------------------------------
-
-TEST(Acceptance, JacobiTraceScalesRemapsMergesAndRoundTrips) {
-  // Record the 4x4 jacobi trace on the deflection router.
-  const Trace t = record_jacobi();
-  ASSERT_EQ(t.meta.net.kind, TraceNetKind::kDeflection);
-
-  // Rate-scale 0.5x and 2x: valid + clean replay.
-  for (double f : {0.5, 2.0}) {
-    const Trace s = xform::RateScale(f).apply(t);
-    validate_trace(s);
-    replay_cleanly(s);
-  }
-
-  // Remap onto an 8x8 torus: valid + clean replay.
-  const Trace r = xform::RemapNodes(8, 8).apply(t);
-  validate_trace(r);
-  replay_cleanly(r);
-
-  // Merge with a second trace: valid + clean replay.
-  RunRequest req2 = tiny_synth();
-  req2.machine.num_compute_cores = 4;
-  req2.seed = 11;
-  const Trace t2 = record_workload("uniform", req2);
-  const Trace m = xform::merge_traces(t, t2);
-  validate_trace(m);
-  replay_cleanly(m);
-
-  // The untransformed round-trip is bit-identical, proven by diff.
-  const std::string path = testing::TempDir() + "/medea_acceptance.bin";
-  save_trace(t, path);
-  const auto d = xform::diff_traces(t, load_trace(path));
-  EXPECT_TRUE(d.identical) << d.first_difference;
 }
 
 }  // namespace
